@@ -26,7 +26,9 @@ lint:
 # matrix under the race detector: bit-identical resume across topologies
 # and fault schedules, typed rejection of damaged snapshot files, the
 # cross-GOMAXPROCS determinism golden test, the checkpoint fuzz seed
-# corpus, the campaign journal, and the campaign supervisor.
+# corpus, the campaign journal (a jsonl.Log: torn-tail drop and corrupt-
+# line quarantine included), and the campaign supervisor. The Log and
+# WriteAtomic tests themselves run in test-daemon.
 test-checkpoint:
 	$(GO) test -race -run 'Checkpoint|Determinism|RunControl|Sweep' .
 	$(GO) test -race -run FuzzCheckpointRoundTrip .
@@ -63,8 +65,10 @@ test-dse:
 
 # test-daemon runs the campaign-daemon matrix under the race detector:
 # the service core (journal replay, drain/requeue, deadline/retry/cancel
-# classification, HTTP endpoints), the backoff policy, the self-healing
-# JSONL loader, the sharded-cache merge gate, batch-cancellation through
+# classification, HTTP endpoints), the backoff policy, internal/jsonl
+# (the self-healing loader, the jsonl.Log append/compact/close round
+# trips with concurrent appends under -race, and WriteAtomic's failure
+# path), the sharded-cache merge gate, batch-cancellation through
 # the module root, and the chipletd process-level acceptance tests —
 # SIGKILL kill-resume and SIGTERM drain against a real daemon.
 test-daemon:

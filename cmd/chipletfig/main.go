@@ -15,7 +15,8 @@
 // capped-backoff retries (-retries). Every task outcome is appended to
 // the JSONL journal and fsynced, so a killed campaign restarted with
 // -resume re-runs only the unfinished tasks and still emits complete
-// figures:
+// figures. A corrupt journal line is quarantined to FILE.rej instead of
+// aborting the resume:
 //
 //	chipletfig -scale full -out results -journal results/journal.jsonl all
 //	# ... crash, OOM-kill, or ^C ...
@@ -247,6 +248,9 @@ func campaignMain(scale experiments.Scale, want map[string]bool, outDir, journal
 		fatalf("%v", err)
 	}
 	defer j.Close()
+	if q := j.Quarantined(); q > 0 {
+		cc.Logf("campaign journal: quarantined %d corrupt lines to %s.rej", q, filepath.Base(journalPath))
+	}
 
 	start := time.Now()
 	byFigure, campErr := runCampaign(tasks, j, cc)

@@ -26,15 +26,15 @@ func isTestFile(pass *analysis.Pass, file *ast.File) bool {
 	return strings.HasSuffix(pass.Filename(file.Pos()), "_test.go")
 }
 
-// timeAlias returns the identifier the file binds the time package to, or
-// "" when time is not imported.
-func timeAlias(file *ast.File) string {
+// importAlias returns the identifier the file binds a single-element
+// import path such as "os" or "time" to, or "" when it is not imported.
+func importAlias(file *ast.File, path string) string {
 	for _, imp := range file.Imports {
-		if strings.Trim(imp.Path.Value, `"`) == "time" {
+		if strings.Trim(imp.Path.Value, `"`) == path {
 			if imp.Name != nil {
 				return imp.Name.Name
 			}
-			return "time"
+			return path
 		}
 	}
 	return ""
@@ -64,6 +64,48 @@ var rngsourceAnalyzer = &analysis.Analyzer{
 	},
 }
 
+// durablefileAnalyzer enforces the durable-file funnel: appending to a
+// file (os.O_APPEND) and replacing one (os.Rename) happen only inside
+// internal/jsonl, whose Log and WriteAtomic carry the fsync, torn-tail
+// and quarantine discipline every store shares. A fifth hand-rolled log
+// would drift from it. Test files are exempt: they forge torn tails and
+// corrupt lines on purpose.
+var durablefileAnalyzer = &analysis.Analyzer{
+	Name: "durablefile",
+	Doc:  "flags os.O_APPEND and os.Rename outside internal/jsonl (use jsonl.Log / jsonl.WriteAtomic)",
+	Run: func(pass *analysis.Pass) (interface{}, error) {
+		if pass.Dir == "internal/jsonl" {
+			return nil, nil
+		}
+		for _, file := range pass.Files {
+			if isTestFile(pass, file) {
+				continue
+			}
+			alias := importAlias(file, "os")
+			if alias == "" {
+				continue
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if id, ok := sel.X.(*ast.Ident); !ok || id.Name != alias {
+					return true
+				}
+				switch sel.Sel.Name {
+				case "O_APPEND":
+					pass.Reportf(sel.Pos(), "os.O_APPEND outside internal/jsonl: append through jsonl.Log")
+				case "Rename":
+					pass.Reportf(sel.Pos(), "os.Rename outside internal/jsonl: replace files with jsonl.WriteAtomic")
+				}
+				return true
+			})
+		}
+		return nil, nil
+	},
+}
+
 // wallclockAnalyzer keeps wall-clock time out of simulator packages: the
 // cycle count is the only clock, so time.Now/Since/Sleep/Until as well as
 // the timer constructors (After, Tick, NewTimer, NewTicker, AfterFunc)
@@ -79,7 +121,7 @@ var wallclockAnalyzer = &analysis.Analyzer{
 			if isTestFile(pass, file) {
 				continue
 			}
-			alias := timeAlias(file)
+			alias := importAlias(file, "time")
 			if alias == "" {
 				continue
 			}
@@ -334,7 +376,7 @@ var retrysleepAnalyzer = &analysis.Analyzer{
 			if isTestFile(pass, file) {
 				continue
 			}
-			alias := timeAlias(file)
+			alias := importAlias(file, "time")
 			if alias == "" {
 				continue
 			}

@@ -1,7 +1,7 @@
 // Command chipletlint enforces the repository's determinism invariants on
 // simulator packages (the module root and internal/...). A cycle-accurate
 // simulator must produce bit-identical results for a given seed, so the
-// driver runs five analyzers over every matched package:
+// driver runs six analyzers over every matched package:
 //
 //	rngsource  no package may import math/rand except internal/rng — all
 //	           randomness flows through the seeded, stable generator
@@ -20,11 +20,17 @@
 //	retrysleep no bare time.Sleep inside a loop anywhere (commands
 //	           included) — retry and poll loops pace themselves through
 //	           internal/service/backoff, which is capped-exponential and
-//	           cancellation-aware.
+//	           cancellation-aware;
+//	durablefile no os.O_APPEND or os.Rename outside internal/jsonl in
+//	           non-test files (commands included) — append-only stores
+//	           are jsonl.Log values and atomic replaces go through
+//	           jsonl.WriteAtomic, so every durable file shares one fsync
+//	           and repair discipline.
 //
 // internal/service (the campaign daemon's process layer) is exempt from
 // the simulator-scope rules — it legitimately owns goroutines, timers and
-// wall-clock deadlines — but not from rngsource or retrysleep.
+// wall-clock deadlines — but not from rngsource, retrysleep or
+// durablefile.
 //
 // The analyzers are written against internal/analysis, a dependency-free
 // mirror of the golang.org/x/tools/go/analysis framework (the repository
@@ -57,6 +63,7 @@ func main() {
 		goroutineAnalyzer,
 		mapiterAnalyzer,
 		retrysleepAnalyzer,
+		durablefileAnalyzer,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chipletlint: %v\n", err)

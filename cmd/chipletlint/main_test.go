@@ -20,7 +20,7 @@ func lintSource(t *testing.T, dir, name, src string) []analysis.Finding {
 		t.Fatal(err)
 	}
 	var out []analysis.Finding
-	for _, a := range []*analysis.Analyzer{rngsourceAnalyzer, wallclockAnalyzer, goroutineAnalyzer, mapiterAnalyzer, retrysleepAnalyzer} {
+	for _, a := range []*analysis.Analyzer{rngsourceAnalyzer, wallclockAnalyzer, goroutineAnalyzer, mapiterAnalyzer, retrysleepAnalyzer, durablefileAnalyzer} {
 		pass := &analysis.Pass{
 			Analyzer: a,
 			Fset:     fset,
@@ -288,5 +288,44 @@ func wait() {
 }`
 	if fs := lintSource(t, "cmd/chipletd", "main_test.go", src); len(fs) != 0 {
 		t.Errorf("test file flagged: %v", fs)
+	}
+}
+
+func TestDurableFileOutsideJSONLFlagged(t *testing.T) {
+	// A hand-rolled append-only log with its own compaction: the shape
+	// the four stores had before they became jsonl.Log values.
+	src := `package x
+import "os"
+func open(p string) (*os.File, error) {
+	return os.OpenFile(p, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+}
+func compact(tmp, p string) error { return os.Rename(tmp, p) }`
+	fs := lintSource(t, "internal/service/coord", "journal.go", src)
+	assertFinding(t, fs, "os.O_APPEND")
+	assertFinding(t, fs, "os.Rename")
+	// Commands are held to the rule too, under any import name.
+	src = `package main
+import sys "os"
+func replace(tmp, p string) error { return sys.Rename(tmp, p) }`
+	assertFinding(t, lintSource(t, "cmd/chipletfig", "main.go", src), "jsonl.WriteAtomic")
+}
+
+func TestDurableFileExemptions(t *testing.T) {
+	src := `package x
+import "os"
+func tear(p string) error {
+	f, err := os.OpenFile(p, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	return f.Close()
+}`
+	// Test files forge torn tails and corrupt lines on purpose.
+	if fs := lintSource(t, "internal/dse", "cache_test.go", src); len(fs) != 0 {
+		t.Errorf("test file flagged: %v", fs)
+	}
+	// internal/jsonl is where the durable-file discipline lives.
+	if fs := lintSource(t, "internal/jsonl", "jsonl.go", src); len(fs) != 0 {
+		t.Errorf("internal/jsonl flagged: %v", fs)
 	}
 }

@@ -29,7 +29,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
+
+	"chipletnet/internal/jsonl"
 )
 
 // Version is the current checkpoint format version. It changes whenever
@@ -98,34 +99,21 @@ func Decode(data []byte) (*State, error) {
 	return st, nil
 }
 
-// WriteFile atomically writes st as a checkpoint file at path: the bytes
-// go to a temporary file in the same directory, are synced, and the file
-// is renamed over path, so readers see either the old checkpoint or the
-// complete new one, never a partial write.
+// WriteFile atomically writes st as a checkpoint file at path
+// (jsonl.WriteAtomic: temp file, sync, rename, directory sync), so
+// readers see either the old checkpoint or the complete new one, never a
+// partial write.
 func WriteFile(path string, st *State) error {
 	data, err := Encode(st)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	err = jsonl.WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: write %s: %w", tmp.Name(), err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: sync %s: %w", tmp.Name(), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: close %s: %w", tmp.Name(), err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("checkpoint: rename: %w", err)
 	}
 	return nil
 }

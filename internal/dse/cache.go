@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 
@@ -100,20 +99,19 @@ type cacheLine struct {
 }
 
 // Cache is the content-addressed evaluation store: a map from candidate
-// key to Record, persisted as an append-only JSONL file fsynced after
-// every record (the campaign-journal idiom; see internal/experiments).
-// A process killed mid-append leaves at most one torn final line, which
-// OpenCache drops from the file before appending resumes; any other
-// corrupt line is quarantined to a .rej sidecar and the later valid
-// entries are kept (self-healing reads; see internal/jsonl). A later
-// entry for a key overrides an earlier one. With an empty path the cache
-// is memory-only.
+// key to Record, persisted as an append-only JSONL file (a jsonl.Log)
+// fsynced after every record. A process killed mid-append leaves at most
+// one torn final line, which OpenCache drops from the file before
+// appending resumes; any other corrupt line is quarantined to a .rej
+// sidecar and the later valid entries are kept (self-healing reads; see
+// internal/jsonl). A later entry for a key overrides an earlier one.
+// With an empty path the cache is memory-only.
 //
 // Cache is safe for concurrent use; cmd/chipletdse and the campaign
 // daemon record from worker pools.
 type Cache struct {
 	mu          sync.Mutex
-	f           *os.File // nil when memory-only
+	log         *jsonl.Log[cacheLine] // nil when memory-only
 	recs        map[string]Record
 	quarantined int
 }
@@ -126,11 +124,7 @@ func OpenCache(path string) (*Cache, error) {
 	if path == "" {
 		return c, nil
 	}
-	q, err := jsonl.Load(path, func(line []byte) error {
-		var cl cacheLine
-		if err := json.Unmarshal(line, &cl); err != nil {
-			return err
-		}
+	log, q, err := jsonl.Open(path, func(cl cacheLine) error {
 		var rec Record
 		if err := gob.NewDecoder(bytes.NewReader(cl.G)).Decode(&rec); err != nil {
 			return fmt.Errorf("decoding record: %w", err)
@@ -144,12 +138,7 @@ func OpenCache(path string) (*Cache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dse: cache %s: %w", path, err)
 	}
-	c.quarantined = q
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	c.f = f
+	c.log, c.quarantined = log, q
 	return c, nil
 }
 
@@ -172,17 +161,10 @@ func (c *Cache) Put(rec Record) error {
 	if err := gob.NewEncoder(&g).Encode(rec); err != nil {
 		return fmt.Errorf("dse: encoding record: %w", err)
 	}
-	line, err := json.Marshal(cacheLine{K: rec.Key, G: g.Bytes()})
-	if err != nil {
-		return err
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f != nil {
-		if _, err := c.f.Write(append(line, '\n')); err != nil {
-			return err
-		}
-		if err := c.f.Sync(); err != nil {
+	if c.log != nil {
+		if err := c.log.Append(cacheLine{K: rec.Key, G: g.Bytes()}); err != nil {
 			return err
 		}
 	}
@@ -219,12 +201,8 @@ func (c *Cache) Quarantined() int {
 
 // Close closes the underlying file (a no-op for memory-only caches).
 func (c *Cache) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil {
+	if c.log == nil {
 		return nil
 	}
-	err := c.f.Close()
-	c.f = nil
-	return err
+	return c.log.Close()
 }

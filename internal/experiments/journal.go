@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
+
+	"chipletnet/internal/jsonl"
 )
 
 // Journal entry statuses.
@@ -26,68 +25,51 @@ type JournalEntry struct {
 }
 
 // Journal is a crash-safe record of campaign progress: an append-only
-// JSONL file with one entry per completed or abandoned task, fsynced
-// after every record. A process killed mid-write leaves at most one
-// truncated final line, which the loader tolerates; a later entry for a
-// key overrides an earlier one, so retried tasks simply append.
+// JSONL file (a jsonl.Log) with one entry per completed or abandoned
+// task, fsynced after every record. A process killed mid-write leaves at
+// most one truncated final line, which the open drops; any other corrupt
+// line is quarantined to a .rej sidecar and the later entries still load
+// (see internal/jsonl). A later entry for a key overrides an earlier
+// one, so retried tasks simply append.
 //
 // Record is safe for concurrent use; the campaign supervisor calls it
 // from its worker pool.
 type Journal struct {
-	mu      sync.Mutex
-	f       *os.File
-	entries map[string]JournalEntry
+	mu          sync.Mutex
+	log         *jsonl.Log[JournalEntry]
+	entries     map[string]JournalEntry
+	quarantined int
 }
 
 // OpenJournal opens (creating if needed) the journal at path and loads
-// its existing entries. A truncated final line — the signature of a
-// crash mid-append — is discarded; any earlier malformed line is
-// reported as corruption.
+// its existing entries, healing crash and corruption damage in place.
 func OpenJournal(path string) (*Journal, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
 	entries := map[string]JournalEntry{}
-	lines := bytes.Split(data, []byte("\n"))
-	for i, line := range lines {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var e JournalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			if i == len(lines)-1 {
-				break // interrupted final append
-			}
-			return nil, fmt.Errorf("experiments: journal %s line %d: %w", path, i+1, err)
-		}
+	log, q, err := jsonl.Open(path, func(e JournalEntry) error {
 		entries[e.Key] = e
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: journal %s: %w", path, err)
 	}
-	return &Journal{f: f, entries: entries}, nil
+	return &Journal{log: log, entries: entries, quarantined: q}, nil
 }
 
 // Record appends one entry and syncs it to disk before returning, so a
 // crash immediately after a task finishes cannot lose its outcome.
 func (j *Journal) Record(e JournalEntry) error {
-	line, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.log.Append(e); err != nil {
 		return err
 	}
 	j.entries[e.Key] = e
 	return nil
 }
+
+// Quarantined returns how many corrupt lines OpenJournal moved to the
+// .rej sidecar.
+func (j *Journal) Quarantined() int { return j.quarantined }
 
 // Lookup returns the latest journaled entry for key.
 func (j *Journal) Lookup(key string) (JournalEntry, bool) {
@@ -108,8 +90,4 @@ func (j *Journal) Done(key string) ([]Point, bool) {
 }
 
 // Close closes the underlying file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
+func (j *Journal) Close() error { return j.log.Close() }

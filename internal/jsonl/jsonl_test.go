@@ -3,8 +3,12 @@ package jsonl
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -194,4 +198,225 @@ func TestLoadCleanFileUntouched(t *testing.T) {
 	if before.ModTime() != after.ModTime() || before.Size() != after.Size() {
 		t.Error("clean file was rewritten; repair must only touch damaged files")
 	}
+}
+
+// openEntries opens the Log at path, returning it with the entries it
+// loaded and the quarantine count.
+func openEntries(t *testing.T, path string) (*Log[entry], []entry, int) {
+	t.Helper()
+	var got []entry
+	l, q, err := Open(path, func(e entry) error {
+		got = append(got, e)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, got, q
+}
+
+func appendAll(t *testing.T, l *Log[entry], es ...entry) {
+	t.Helper()
+	for _, e := range es {
+		if err := l.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// marshalLines is the on-disk form of es: json.Marshal(e)+"\n" each.
+func marshalLines(t *testing.T, es ...entry) string {
+	t.Helper()
+	var b bytes.Buffer
+	for _, e := range es {
+		line, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(append(line, '\n'))
+	}
+	return b.String()
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// assertNoTemp fails if a WriteAtomic temp file survived in dir.
+func assertNoTemp(t *testing.T, dir string) {
+	t.Helper()
+	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tmps) != 0 {
+		t.Errorf("temp files left behind: %v", tmps)
+	}
+}
+
+// TestLogRoundTrip: Append → Close → Open returns the entries in order,
+// and the file holds exactly json.Marshal(v)+"\n" per entry — the byte
+// format every store wrote before it became a Log.
+func TestLogRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	l, got, q := openEntries(t, path)
+	if len(got) != 0 || q != 0 {
+		t.Fatalf("fresh log loaded %v, quarantined %d", got, q)
+	}
+	want := []entry{{"a", 1}, {"<b&c>", 2}, {"a", 3}}
+	appendAll(t, l, want...)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if data := readFile(t, path); data != marshalLines(t, want...) {
+		t.Errorf("file = %q, want %q", data, marshalLines(t, want...))
+	}
+	l, got, q = openEntries(t, path)
+	defer l.Close()
+	if fmt.Sprint(got) != fmt.Sprint(want) || q != 0 {
+		t.Errorf("reopened %v (quarantined %d), want %v", got, q, want)
+	}
+}
+
+// TestLogTornTailDroppedOnReopen: a crash mid-append after acknowledged
+// Appends leaves a torn fragment; the reopen drops it, and later Appends
+// start on a clean line.
+func TestLogTornTailDroppedOnReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	l, _, _ := openEntries(t, path)
+	appendAll(t, l, entry{"a", 1})
+	l.Close()
+	appendRaw(t, path, `{"K":"b","V`)
+
+	l, got, q := openEntries(t, path)
+	if len(got) != 1 || got[0].K != "a" || q != 0 {
+		t.Errorf("reopened %v (quarantined %d), want just a", got, q)
+	}
+	appendAll(t, l, entry{"c", 3})
+	l.Close()
+	if data, want := readFile(t, path), marshalLines(t, entry{"a", 1}, entry{"c", 3}); data != want {
+		t.Errorf("file = %q, want %q", data, want)
+	}
+}
+
+// TestLogCompact: after Compact the file holds exactly the compacted
+// entries, and later Appends land in the compacted file (not in the
+// replaced inode the old handle pointed to).
+func TestLogCompact(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "store.jsonl")
+	l, _, _ := openEntries(t, path)
+	appendAll(t, l, entry{"a", 1}, entry{"b", 2}, entry{"a", 3})
+	if err := l.Compact([]entry{{"a", 3}, {"b", 2}}); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, entry{"c", 4})
+	l.Close()
+	want := []entry{{"a", 3}, {"b", 2}, {"c", 4}}
+	if data := readFile(t, path); data != marshalLines(t, want...) {
+		t.Errorf("file = %q, want %q", data, marshalLines(t, want...))
+	}
+	assertNoTemp(t, dir)
+}
+
+// TestLogClosed: Append and Compact after Close return an error instead
+// of writing anywhere; a second Close is a no-op.
+func TestLogClosed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	l, _, _ := openEntries(t, path)
+	appendAll(t, l, entry{"a", 1})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(entry{"b", 2}); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("Append after Close = %v, want os.ErrClosed", err)
+	}
+	if err := l.Compact(nil); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("Compact after Close = %v, want os.ErrClosed", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Errorf("second Close = %v", err)
+	}
+	if data, want := readFile(t, path), marshalLines(t, entry{"a", 1}); data != want {
+		t.Errorf("file = %q, want %q", data, want)
+	}
+}
+
+// TestLogConcurrentAppend: concurrent Appends (run under -race by make
+// test-daemon) each land as one intact line.
+func TestLogConcurrentAppend(t *testing.T) {
+	const writers, each = 8, 16
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	l, _, _ := openEntries(t, path)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := l.Append(entry{fmt.Sprintf("w%d-%d", w, i), i}); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	l.Close()
+
+	l, got, q := openEntries(t, path)
+	defer l.Close()
+	seen := map[string]bool{}
+	for _, e := range got {
+		seen[e.K] = true
+	}
+	if len(got) != writers*each || len(seen) != writers*each || q != 0 {
+		t.Errorf("reloaded %d entries (%d distinct, %d quarantined), want %d intact", len(got), len(seen), q, writers*each)
+	}
+}
+
+// TestWriteAtomicFailingWriter: a writer error leaves the target exactly
+// as it was (or absent) and no temp file behind; a successful write
+// replaces it.
+func TestWriteAtomicFailingWriter(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "target")
+	write(t, path, "old\n")
+	boom := errors.New("boom")
+	failing := func(w io.Writer) error {
+		if _, err := io.WriteString(w, "partial new"); err != nil {
+			return err
+		}
+		return boom
+	}
+	if err := WriteAtomic(path, failing); !errors.Is(err, boom) {
+		t.Fatalf("WriteAtomic = %v, want the writer's error", err)
+	}
+	if data := readFile(t, path); data != "old\n" {
+		t.Errorf("target = %q after a failed write, want untouched", data)
+	}
+	absent := filepath.Join(dir, "absent")
+	if err := WriteAtomic(absent, failing); !errors.Is(err, boom) {
+		t.Fatalf("WriteAtomic = %v, want the writer's error", err)
+	}
+	if _, err := os.Stat(absent); !os.IsNotExist(err) {
+		t.Errorf("failed write created the target: %v", err)
+	}
+	assertNoTemp(t, dir)
+
+	err := WriteAtomic(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "new\n")
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data := readFile(t, path); data != "new\n" {
+		t.Errorf("target = %q, want replaced", data)
+	}
+	assertNoTemp(t, dir)
 }

@@ -20,7 +20,7 @@
 // pool after a per-shard
 // jittered backoff (backoff.Policy.DelayFor) so a flapping worker does not
 // ping-pong its shards. Every lease transition is journaled to coord.jsonl
-// with the same fsynced append-only discipline as the job journal, so a
+// (a jsonl.Log, like the job journal) and fsynced, so a
 // coordinator crash-restart replays to the exact lease state and running
 // workers keep their shards across the restart. If the whole fleet dies,
 // the campaign degrades instead of hanging: after DeadFleetGrace with no
@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"chipletnet/internal/dse"
+	"chipletnet/internal/jsonl"
 	"chipletnet/internal/service/backoff"
 )
 
@@ -82,7 +83,7 @@ type Config struct {
 type Coordinator struct {
 	cfg  Config
 	logf func(string, ...any)
-	jlog *leaseLog
+	jlog *jsonl.Log[leaseEvent]
 
 	mu      sync.Mutex
 	workers map[string]*workerState
@@ -195,9 +196,17 @@ func Open(cfg Config) (*Coordinator, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	jlog, events, quarantined, err := openLeaseLog(filepath.Join(cfg.Dir, "coord.jsonl"))
+	journal := filepath.Join(cfg.Dir, "coord.jsonl")
+	var events []leaseEvent
+	jlog, quarantined, err := jsonl.Open(journal, func(e leaseEvent) error {
+		if e.C == "" || e.Ev == "" {
+			return errors.New("coord: journal line without campaign/event")
+		}
+		events = append(events, e)
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("coord: lease journal %s: %w", journal, err)
 	}
 	c := &Coordinator{
 		cfg:     cfg,
@@ -221,7 +230,7 @@ func Open(cfg Config) (*Coordinator, error) {
 	// Distill the replayed state to one event per shard and rewrite, so
 	// the journal stays bounded by live lease state, not history.
 	if live := c.distillJournal(); len(live) < len(events) {
-		if err := c.jlog.rewrite(live); err != nil {
+		if err := c.jlog.Compact(live); err != nil {
 			c.jlog.Close()
 			return nil, fmt.Errorf("coord: compacting lease journal: %w", err)
 		}
@@ -355,7 +364,7 @@ func (c *Coordinator) RunCampaign(ctx context.Context, id string, plan *dse.Plan
 		// journaled lease state, or its grants replay as live on every
 		// future restart.
 		if prior != nil {
-			if err := c.jlog.record(leaseEvent{C: id, Ev: evFinish}); err != nil {
+			if err := c.jlog.Append(leaseEvent{C: id, Ev: evFinish}); err != nil {
 				c.logf("coord: lease journal: %v", err)
 			}
 		}
@@ -444,7 +453,7 @@ func (c *Coordinator) superviseLocked(camp *campaign, now time.Time) {
 		}
 		c.logf("coord: campaign %s shard %x: lease %d to %s expired; requeueing %d evaluations",
 			camp.id, i, sh.lease, sh.worker, len(sh.work))
-		if err := c.jlog.record(leaseEvent{C: camp.id, Ev: evExpire, Shard: i, Worker: sh.worker, Lease: sh.lease}); err != nil {
+		if err := c.jlog.Append(leaseEvent{C: camp.id, Ev: evExpire, Shard: i, Worker: sh.worker, Lease: sh.lease}); err != nil {
 			c.logf("coord: lease journal: %v", err)
 		}
 		sh.phase, sh.worker = shardPending, ""
@@ -543,7 +552,7 @@ func (c *Coordinator) heartbeat(worker string, capacity int, held []Assignment) 
 			}
 			sh.grants++
 			lease := sh.grants
-			if err := c.jlog.record(leaseEvent{C: id, Ev: evGrant, Shard: i, Worker: worker, Lease: lease}); err != nil {
+			if err := c.jlog.Append(leaseEvent{C: id, Ev: evGrant, Shard: i, Worker: worker, Lease: lease}); err != nil {
 				// An unjournaled lease would vanish on restart while the
 				// worker believes it holds the shard; don't grant it.
 				c.logf("coord: lease journal: %v", err)
@@ -664,14 +673,14 @@ func (c *Coordinator) fold(worker, campaignID string, shard, lease int, deltas [
 	ws.records += added
 	ws.simulated += freshSim
 	if len(sh.work) == 0 && sh.phase != shardDone {
-		if jerr := c.jlog.record(leaseEvent{C: campaignID, Ev: evShardDone, Shard: shard, Worker: worker, Lease: lease}); jerr != nil {
+		if jerr := c.jlog.Append(leaseEvent{C: campaignID, Ev: evShardDone, Shard: shard, Worker: worker, Lease: lease}); jerr != nil {
 			c.logf("coord: lease journal: %v", jerr)
 		}
 		sh.phase, sh.worker = shardDone, ""
 		c.logf("coord: campaign %s shard %x: complete", campaignID, shard)
 	}
 	if camp.remainingLocked() == 0 {
-		if jerr := c.jlog.record(leaseEvent{C: campaignID, Ev: evFinish}); jerr != nil {
+		if jerr := c.jlog.Append(leaseEvent{C: campaignID, Ev: evFinish}); jerr != nil {
 			c.logf("coord: lease journal: %v", jerr)
 		}
 		camp.completeLocked()

@@ -1,16 +1,5 @@
 package coord
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
-
-	"chipletnet/internal/jsonl"
-)
-
 // Lease journal event names. Only lease state is journaled — the work
 // itself is reconstructible: a restarted coordinator re-plans the
 // campaign against the shared store, and every already-folded record
@@ -30,103 +19,4 @@ type leaseEvent struct {
 	Shard  int    `json:",omitempty"`
 	Worker string `json:",omitempty"`
 	Lease  int    `json:",omitempty"`
-}
-
-// leaseLog is the fsynced append-only lease journal — the jobs.jsonl
-// discipline applied to lease transitions (see internal/jsonl for the
-// shared damage model: torn tails dropped, corrupt lines quarantined).
-type leaseLog struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
-}
-
-// openLeaseLog opens (creating if needed) the journal at path and
-// returns the replayable events plus the count of quarantined lines.
-func openLeaseLog(path string) (*leaseLog, []leaseEvent, int, error) {
-	var events []leaseEvent
-	quarantined, err := jsonl.Load(path, func(line []byte) error {
-		var e leaseEvent
-		if err := json.Unmarshal(line, &e); err != nil {
-			return err
-		}
-		if e.C == "" || e.Ev == "" {
-			return errors.New("coord: journal line without campaign/event")
-		}
-		events = append(events, e)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("coord: lease journal %s: %w", path, err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return &leaseLog{path: path, f: f}, events, quarantined, nil
-}
-
-// rewrite atomically replaces the journal with events — the compaction
-// path: the temp-file/sync/rename discipline of internal/jsonl repair,
-// plus reopening the append handle on the new file. A crash mid-rewrite
-// leaves either the old journal (compacted again next open) or the new
-// one, never a half-written mix.
-func (l *leaseLog) rewrite(events []leaseEvent) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	tmp, err := os.CreateTemp(filepath.Dir(l.path), filepath.Base(l.path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	for _, e := range events {
-		line, err := json.Marshal(e)
-		if err != nil {
-			tmp.Close()
-			return err
-		}
-		if _, err := tmp.Write(append(line, '\n')); err != nil {
-			tmp.Close()
-			return err
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), l.path); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	l.f.Close()
-	l.f = f
-	return nil
-}
-
-// record appends one event and syncs it to disk before returning, so a
-// lease a worker was told about cannot be lost by a coordinator crash.
-func (l *leaseLog) record(e leaseEvent) error {
-	line, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	return l.f.Sync()
-}
-
-// Close closes the underlying file.
-func (l *leaseLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.f.Close()
 }

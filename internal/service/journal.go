@@ -1,14 +1,6 @@
 package service
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"os"
-	"sync"
-
-	"chipletnet/internal/jsonl"
-)
+import "encoding/json"
 
 // Job journal event names. The journal is an append-only JSONL event log
 // (one fsynced line per state transition), so the complete job table —
@@ -30,60 +22,4 @@ type jobEvent struct {
 	Attempts int             `json:",omitempty"`
 	Error    string          `json:",omitempty"`
 	Result   json.RawMessage `json:",omitempty"`
-}
-
-// jobLog is the fsynced append-only event journal. Like every JSONL
-// store in this repository it tolerates a torn final line (crash
-// mid-append) and quarantines corrupt interior lines to a .rej sidecar
-// instead of refusing the file (see internal/jsonl).
-type jobLog struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
-// openJobLog opens (creating if needed) the journal at path and returns
-// the replayable events plus the count of quarantined lines.
-func openJobLog(path string) (*jobLog, []jobEvent, int, error) {
-	var events []jobEvent
-	quarantined, err := jsonl.Load(path, func(line []byte) error {
-		var e jobEvent
-		if err := json.Unmarshal(line, &e); err != nil {
-			return err
-		}
-		if e.ID == "" || e.Event == "" {
-			return errors.New("service: journal line without id/event")
-		}
-		events = append(events, e)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("service: job journal %s: %w", path, err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return &jobLog{f: f}, events, quarantined, nil
-}
-
-// record appends one event and syncs it to disk before returning, so a
-// crash immediately after a transition cannot lose it.
-func (l *jobLog) record(e jobEvent) error {
-	line, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	return l.f.Sync()
-}
-
-// Close closes the underlying file.
-func (l *jobLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.f.Close()
 }

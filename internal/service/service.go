@@ -9,8 +9,9 @@
 // machinery instead of inventing new formats:
 //
 //   - The job table (queue included) is an append-only JSONL event
-//     journal replayed at Open (the experiments.Journal idiom, healed by
-//     internal/jsonl). A job found mid-run after a crash is requeued.
+//     journal (a jsonl.Log: torn tails dropped, corrupt lines
+//     quarantined) replayed at Open. A job found mid-run after a crash is
+//     requeued.
 //   - Long simulate jobs checkpoint periodically through
 //     internal/checkpoint (RunControl.CheckpointEvery) and resume from
 //     their snapshot bit-identically.
@@ -47,6 +48,7 @@ import (
 
 	"chipletnet"
 	"chipletnet/internal/dse"
+	"chipletnet/internal/jsonl"
 	"chipletnet/internal/service/backoff"
 	"chipletnet/internal/service/coord"
 )
@@ -211,7 +213,7 @@ type Config struct {
 type Server struct {
 	cfg   Config
 	logf  func(string, ...any)
-	jlog  *jobLog
+	jlog  *jsonl.Log[jobEvent]
 	cache *dse.ShardedCache
 
 	mu      sync.Mutex
@@ -261,10 +263,18 @@ func Open(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	jlog, events, quarantined, err := openJobLog(filepath.Join(cfg.Dir, "jobs.jsonl"))
+	journal := filepath.Join(cfg.Dir, "jobs.jsonl")
+	var events []jobEvent
+	jlog, quarantined, err := jsonl.Open(journal, func(e jobEvent) error {
+		if e.ID == "" || e.Event == "" {
+			return errors.New("service: journal line without id/event")
+		}
+		events = append(events, e)
+		return nil
+	})
 	if err != nil {
 		cache.Close()
-		return nil, err
+		return nil, fmt.Errorf("service: job journal %s: %w", journal, err)
 	}
 	if quarantined > 0 {
 		logf("job journal: quarantined %d corrupt lines to jobs.jsonl.rej", quarantined)
@@ -384,7 +394,7 @@ func (s *Server) Submit(spec JobSpec) (Job, error) {
 		s.mu.Unlock()
 		return Job{}, ErrQueueFull
 	}
-	if err := s.jlog.record(jobEvent{ID: id, Event: evSubmit, Spec: &spec}); err != nil {
+	if err := s.jlog.Append(jobEvent{ID: id, Event: evSubmit, Spec: &spec}); err != nil {
 		s.mu.Unlock()
 		return Job{}, fmt.Errorf("service: journaling submission: %w", err)
 	}
@@ -430,7 +440,7 @@ func (s *Server) Cancel(id string) (Job, error) {
 	switch job.Status {
 	case StatusQueued:
 		job.Status = StatusCanceled
-		err := s.jlog.record(jobEvent{ID: id, Event: evCanceled})
+		err := s.jlog.Append(jobEvent{ID: id, Event: evCanceled})
 		out := *job
 		s.mu.Unlock()
 		s.logf("job %s: canceled while queued", id)
@@ -503,7 +513,7 @@ func (s *Server) setStatus(job *Job, status JobStatus, e jobEvent) {
 		job.Error = e.Error
 		job.Result = e.Result // partial (degraded) payload, when present
 	}
-	err := s.jlog.record(e)
+	err := s.jlog.Append(e)
 	s.mu.Unlock()
 	if err != nil {
 		s.logf("job %s: journaling %s: %v", job.ID, e.Event, err)

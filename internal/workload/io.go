@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"chipletnet/internal/jsonl"
@@ -101,30 +100,13 @@ func Decode(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// WriteFile writes the trace atomically (temp file + sync + rename, the
-// internal/checkpoint idiom), so a crash mid-write never leaves a
-// half-trace under the final name.
+// WriteFile writes the trace atomically (jsonl.WriteAtomic), so a crash
+// mid-write never leaves a half-trace under the final name.
 func WriteFile(path string, t *Trace) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := t.Encode(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return jsonl.WriteAtomic(path, t.Encode)
 }
 
 // ReadFile reads and validates a native trace file.
