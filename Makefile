@@ -24,13 +24,16 @@ lint:
 
 # test-checkpoint runs the checkpoint/restore and crash-safe-campaign
 # matrix under the race detector: bit-identical resume across topologies
-# and fault schedules, typed rejection of damaged snapshot files, the
+# and fault schedules, a canceled resume leaving its checkpoint intact,
+# Simulate matching Run byte for byte, context cancellation of a single
+# run, rate sweeps through RunBatch, typed rejection of damaged snapshot
+# files, the
 # cross-GOMAXPROCS determinism golden test, the checkpoint fuzz seed
 # corpus, the campaign journal (a jsonl.Log: torn-tail drop and corrupt-
 # line quarantine included), and the campaign supervisor. The Log and
 # WriteAtomic tests themselves run in test-daemon.
 test-checkpoint:
-	$(GO) test -race -run 'Checkpoint|Determinism|RunControl|Sweep' .
+	$(GO) test -race -run 'Checkpoint|Determinism|RunControlDeadline|SweepOrders|SweepPartial|SimulateMatchesRun|ResumeCanceled' .
 	$(GO) test -race -run FuzzCheckpointRoundTrip .
 	$(GO) test -race -run 'Journal|Campaign' ./internal/experiments ./cmd/chipletfig
 
@@ -73,7 +76,7 @@ test-dse:
 # SIGKILL kill-resume and SIGTERM drain against a real daemon.
 test-daemon:
 	$(GO) test -race ./internal/service/... ./internal/jsonl ./cmd/chipletd
-	$(GO) test -race -run 'RunManyCtx|RunEachCtx' .
+	$(GO) test -race -run 'RunBatch|RunContext' .
 	$(GO) test -race -run 'Shard|Merge|Quarantine' ./internal/dse
 
 # test-coordinator runs the multi-host fleet matrix under the race

@@ -14,6 +14,7 @@
 package chipletnet_test
 
 import (
+	"context"
 	"testing"
 
 	"chipletnet"
@@ -236,7 +237,7 @@ func BenchmarkSimulatorCyclesPerSecond(b *testing.B) {
 	routers := 64 * 16
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := chipletnet.Run(cfg); err != nil {
+		if _, err := chipletnet.Run(context.Background(), cfg, chipletnet.RunControl{}); err != nil {
 			b.Fatal(err)
 		}
 	}

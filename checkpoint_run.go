@@ -1,6 +1,7 @@
 package chipletnet
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,25 +17,20 @@ import (
 	"chipletnet/internal/workload"
 )
 
-// Control-flow sentinels for externally ended runs; test with errors.Is.
-// The partial Result returned alongside them is still meaningful for
-// diagnostics.
-var (
-	// ErrTimeout: the run was aborted by RunControl.Deadline. The Result
-	// carries a diagnostic snapshot of where traffic was at the abort.
-	ErrTimeout = errors.New("chipletnet: simulation aborted by deadline")
-	// ErrInterrupted: the run was stopped by RunControl.Interrupt after
-	// writing a final checkpoint; resume it with ResumeRun.
-	ErrInterrupted = errors.New("chipletnet: simulation interrupted, checkpoint written")
-)
+// ErrInterrupted: the run was stopped by RunControl.Interrupt after
+// writing a final checkpoint; resume it with Resume. Test with
+// errors.Is; the partial Result returned alongside it is still
+// meaningful for diagnostics.
+var ErrInterrupted = errors.New("chipletnet: simulation interrupted, checkpoint written")
 
 // RunControl carries optional external control for a simulation run:
-// periodic checkpointing, checkpoint-and-stop interruption, and a
-// deadline. The zero value runs to completion exactly like Simulate. The
-// simulator itself never consults a clock (determinism); deadlines and
-// signals are the caller's, delivered over channels and observed at cycle
-// boundaries only, so they never perturb the simulated state — a run cut
-// short and resumed finishes bit-identical to an uninterrupted one.
+// periodic checkpointing, checkpoint-and-stop interruption and trace
+// recording. The zero value runs to completion exactly like Simulate.
+// Cancellation and deadlines are the run's context. The simulator itself
+// never consults a clock (determinism); deadlines and signals are the
+// caller's, observed at cycle boundaries only, so they never perturb the
+// simulated state — a run cut short and resumed finishes bit-identical to
+// an uninterrupted one.
 type RunControl struct {
 	// CheckpointPath is where snapshots are written (atomic
 	// write-then-rename, each replacing the previous). Required for
@@ -49,16 +45,11 @@ type RunControl struct {
 	// InterruptAtCycle > 0 acts like Interrupt firing at exactly that
 	// cycle boundary — a deterministic interruption, for testing resume.
 	InterruptAtCycle int64
-	// Deadline, when non-nil and readable (or closed), aborts the run at
-	// the next cycle boundary with ErrTimeout and a diagnostic snapshot
-	// (Result.DeadlockReport) of where traffic was stuck. Typically wired
-	// to a wall-clock timer by the caller.
-	Deadline <-chan struct{}
 	// TracePath, when non-empty, records the run as a workload trace
 	// (internal/workload format) and writes it there when the run
 	// completes cleanly. Recording attaches a tracer, so packet pooling is
 	// disabled for the run; results stay bit-identical. Not available on
-	// ResumeRun (the recorder would miss every pre-checkpoint packet) or
+	// Resume (the recorder would miss every pre-checkpoint packet) or
 	// together with another tracer.
 	TracePath string
 }
@@ -106,126 +97,50 @@ func (s *System) buildSource() (traffic.Source, error) {
 	return nil, fmt.Errorf("chipletnet: unknown workload kind %q", kind)
 }
 
-// SimulateControlled is Simulate with external run control. A System must
-// not be simulated twice; rebuild for fresh runs.
-func (s *System) SimulateControlled(ctrl RunControl) (Result, error) {
+// session is one run's mutable machinery, wired onto the fabric by
+// prepare: the injection source, the statistics collector, and the fault
+// engine and workload recorder when configured (nil otherwise).
+type session struct {
+	src traffic.Source
+	col *stats.Collector
+	eng *fault.Engine
+	rec *workload.Recorder
+}
+
+// prepare builds the run's source, collector and fault engine and wires
+// them onto the fabric: the delivery sink chain, the credit audit, and,
+// when tracePath is set, a workload recorder. Fresh runs and resumed
+// runs share it; a resume then restores snapshot state on top.
+func (s *System) prepare(tracePath string) (session, error) {
 	cfg := s.Cfg
 	src, err := s.buildSource()
 	if err != nil {
-		return Result{}, err
+		return session{}, err
 	}
-
-	col := &stats.Collector{MeasureFrom: cfg.WarmupCycles + 1}
+	ss := session{src: src, col: &stats.Collector{MeasureFrom: cfg.WarmupCycles + 1}}
 	f := s.Topo.Fabric
-	f.Sink = col.OnDeliver
+	f.Sink = ss.col.OnDeliver
 	f.CreditAudit = cfg.CheckCredits
 
-	var rec *workload.Recorder
-	if ctrl.TracePath != "" {
+	if tracePath != "" {
 		if f.Tracer != nil {
-			return Result{}, fmt.Errorf("chipletnet: cannot record a workload trace: another tracer is attached")
+			return session{}, fmt.Errorf("chipletnet: cannot record a workload trace: another tracer is attached")
 		}
-		rec, err = workload.NewRecorder(s.Topo.Cores)
-		if err != nil {
-			return Result{}, err
+		if ss.rec, err = workload.NewRecorder(s.Topo.Cores); err != nil {
+			return session{}, err
 		}
-		f.Tracer = rec
+		f.Tracer = ss.rec
 	}
 
-	var eng *fault.Engine
+	// The fault engine attaches the reliability protocol (with its
+	// corruption-stream closures) to the links; on resume the fabric
+	// restore then fills it with snapshot state.
 	if cfg.Fault.Enabled() {
-		eng, err = fault.New(s.Topo, cfg.Fault.engineConfig(cfg.Seed))
-		if err != nil {
-			return Result{}, err
+		if ss.eng, err = fault.New(s.Topo, cfg.Fault.engineConfig(cfg.Seed)); err != nil {
+			return session{}, err
 		}
-		eng.Attach(f)
+		ss.eng.Attach(f)
 	}
-	res, err := s.run(src, col, eng, ctrl, 0)
-	if rec != nil && err == nil {
-		tr, terr := rec.Trace()
-		if terr == nil {
-			terr = workload.WriteFile(ctrl.TracePath, tr)
-		}
-		if terr != nil {
-			return res, fmt.Errorf("chipletnet: recording workload trace: %w", terr)
-		}
-	}
-	return res, err
-}
-
-// ResumeRun loads a checkpoint, rebuilds the system from the embedded
-// configuration, restores the complete dynamic state, and continues the
-// run to completion (under the given control). The finished Result is
-// bit-identical to the uninterrupted run's.
-func ResumeRun(path string, ctrl RunControl) (Result, error) {
-	if ctrl.TracePath != "" {
-		return Result{}, fmt.Errorf("chipletnet: cannot record a workload trace on resume: the recorder would miss every pre-checkpoint packet")
-	}
-	st, err := checkpoint.ReadFile(path)
-	if err != nil {
-		return Result{}, err
-	}
-	var cfg Config
-	if err := json.Unmarshal(st.Config, &cfg); err != nil {
-		return Result{}, fmt.Errorf("%w: embedded configuration: %v", checkpoint.ErrCorrupt, err)
-	}
-	sys, err := Build(cfg)
-	if err != nil {
-		return Result{}, fmt.Errorf("%w: rebuilding from embedded configuration: %v", checkpoint.ErrMismatch, err)
-	}
-
-	src, err := sys.buildSource()
-	if err != nil {
-		return Result{}, err
-	}
-
-	col := &stats.Collector{MeasureFrom: cfg.WarmupCycles + 1}
-	f := sys.Topo.Fabric
-	f.Sink = col.OnDeliver
-	f.CreditAudit = cfg.CheckCredits
-
-	// Recreate the fault engine first: it re-attaches the reliability
-	// protocol (with its corruption-stream closures) to the same links,
-	// which the fabric restore then fills with snapshot state.
-	var eng *fault.Engine
-	if cfg.Fault.Enabled() {
-		eng, err = fault.New(sys.Topo, cfg.Fault.engineConfig(cfg.Seed))
-		if err != nil {
-			return Result{}, fmt.Errorf("%w: recreating fault engine: %v", checkpoint.ErrMismatch, err)
-		}
-		eng.Attach(f)
-	}
-	if (st.Fault != nil) != (eng != nil) {
-		return Result{}, fmt.Errorf("%w: snapshot fault state %v, configuration fault injection %v",
-			checkpoint.ErrMismatch, st.Fault != nil, eng != nil)
-	}
-
-	if err := sys.Topo.Restore(&st.Topo); err != nil {
-		return Result{}, err
-	}
-	pkts := checkpoint.Materialize(st.Packets)
-	if err := f.Restore(&st.Fabric, pkts); err != nil {
-		return Result{}, err
-	}
-	if err := src.Restore(&st.Gen); err != nil {
-		return Result{}, err
-	}
-	col.Restore(&st.Stats)
-	if eng != nil {
-		if err := eng.Restore(st.Fault); err != nil {
-			return Result{}, err
-		}
-	}
-	return sys.run(src, col, eng, ctrl, st.Cycle)
-}
-
-// run advances the simulation from the cycle after start to completion,
-// observing external control at cycle boundaries, then assembles the
-// Result. start is 0 for a fresh run, the checkpoint cycle on resume.
-func (s *System) run(src traffic.Source, col *stats.Collector, eng *fault.Engine, ctrl RunControl, start int64) (Result, error) {
-	cfg := s.Cfg
-	f := s.Topo.Fabric
-	total := cfg.WarmupCycles + cfg.MeasureCycles
 
 	// Chain the source into the sink so dependency-driven sources observe
 	// every delivery in the engines' deterministic sink order (a delivery
@@ -257,18 +172,93 @@ func (s *System) run(src traffic.Source, col *stats.Collector, eng *fault.Engine
 			pool.Put(p)
 		}
 	}
+	return ss, nil
+}
+
+// simulate runs a freshly built system from cycle 1 under ctx and ctrl.
+// A System must not be simulated twice.
+func (s *System) simulate(ctx context.Context, ctrl RunControl) (Result, error) {
+	ss, err := s.prepare(ctrl.TracePath)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.run(ctx, &ss, ctrl, 0)
+}
+
+// Resume loads a checkpoint, rebuilds the system from the embedded
+// configuration, restores the complete dynamic state, and continues the
+// run to completion under ctx and ctrl (see Run for the cancellation
+// semantics). The finished Result is bit-identical to the uninterrupted
+// run's.
+func Resume(ctx context.Context, path string, ctrl RunControl) (Result, error) {
+	if ctrl.TracePath != "" {
+		return Result{}, fmt.Errorf("chipletnet: cannot record a workload trace on resume: the recorder would miss every pre-checkpoint packet")
+	}
+	st, err := checkpoint.ReadFile(path)
+	if err != nil {
+		return Result{}, err
+	}
+	var cfg Config
+	if err := json.Unmarshal(st.Config, &cfg); err != nil {
+		return Result{}, fmt.Errorf("%w: embedded configuration: %v", checkpoint.ErrCorrupt, err)
+	}
+	sys, err := Build(cfg)
+	if err != nil {
+		return Result{}, fmt.Errorf("%w: rebuilding from embedded configuration: %v", checkpoint.ErrMismatch, err)
+	}
+	ss, err := sys.prepare("")
+	if err != nil {
+		return Result{}, fmt.Errorf("%w: preparing the run from embedded configuration: %w", checkpoint.ErrMismatch, err)
+	}
+	if (st.Fault != nil) != (ss.eng != nil) {
+		return Result{}, fmt.Errorf("%w: snapshot fault state %v, configuration fault injection %v",
+			checkpoint.ErrMismatch, st.Fault != nil, ss.eng != nil)
+	}
+
+	if err := sys.Topo.Restore(&st.Topo); err != nil {
+		return Result{}, err
+	}
+	pkts := checkpoint.Materialize(st.Packets)
+	if err := sys.Topo.Fabric.Restore(&st.Fabric, pkts); err != nil {
+		return Result{}, err
+	}
+	if err := ss.src.Restore(&st.Gen); err != nil {
+		return Result{}, err
+	}
+	ss.col.Restore(&st.Stats)
+	if ss.eng != nil {
+		if err := ss.eng.Restore(st.Fault); err != nil {
+			return Result{}, err
+		}
+	}
+	return sys.run(ctx, &ss, ctrl, st.Cycle)
+}
+
+// run advances the simulation from the cycle after start to completion,
+// observing ctx and external control at cycle boundaries, then
+// assembles the Result and writes the recorded workload trace, if any,
+// when the run completed cleanly. start is 0 for a fresh run, the
+// checkpoint cycle on resume.
+func (s *System) run(ctx context.Context, ss *session, ctrl RunControl, start int64) (Result, error) {
+	cfg := s.Cfg
+	f := s.Topo.Fabric
+	src, col, eng := ss.src, ss.col, ss.eng
+	total := cfg.WarmupCycles + cfg.MeasureCycles
 
 	var simErr error
 	timedOut := false
 	var timeoutReport *router.DeadlockReport
 
 	// control runs the external checks after completed cycle cy and
-	// reports whether the run must stop.
+	// reports whether the run must stop. done is nil for contexts that
+	// can never be done (context.Background), which keeps the per-cycle
+	// cancellation check to one nil test.
+	done := ctx.Done()
 	control := func(cy int64) bool {
-		if ctrl.Deadline != nil {
+		if done != nil {
 			select {
-			case <-ctrl.Deadline:
-				simErr = ErrTimeout
+			case <-done:
+				simErr = canceled(ctx)
 				timedOut = true
 				timeoutReport = f.DiagnosticReport()
 				return true
@@ -284,7 +274,7 @@ func (s *System) run(src traffic.Source, col *stats.Collector, eng *fault.Engine
 			}
 		}
 		if interrupted {
-			if err := s.writeCheckpoint(ctrl.CheckpointPath, src, col, eng, cy); err != nil {
+			if err := s.writeCheckpoint(ctrl.CheckpointPath, ss, cy); err != nil {
 				simErr = err
 			} else {
 				simErr = ErrInterrupted
@@ -292,7 +282,7 @@ func (s *System) run(src traffic.Source, col *stats.Collector, eng *fault.Engine
 			return true
 		}
 		if ctrl.CheckpointPath != "" && ctrl.CheckpointEvery > 0 && cy%ctrl.CheckpointEvery == 0 {
-			if err := s.writeCheckpoint(ctrl.CheckpointPath, src, col, eng, cy); err != nil {
+			if err := s.writeCheckpoint(ctrl.CheckpointPath, ss, cy); err != nil {
 				simErr = err
 				return true
 			}
@@ -393,19 +383,28 @@ func (s *System) run(src traffic.Source, col *stats.Collector, eng *fault.Engine
 	if onN > 0 {
 		res.AvgOnChipUtilization = onSum / float64(onN)
 	}
-	// A typed fault failure (partition, failed re-certification), timeout,
-	// or interruption ends the run cleanly: the partial Result is still
-	// returned for diagnostics.
+	if ss.rec != nil && simErr == nil {
+		tr, err := ss.rec.Trace()
+		if err == nil {
+			err = workload.WriteFile(ctrl.TracePath, tr)
+		}
+		if err != nil {
+			return res, fmt.Errorf("chipletnet: recording workload trace: %w", err)
+		}
+	}
+	// A typed fault failure (partition, failed re-certification),
+	// cancellation, or interruption ends the run cleanly: the partial
+	// Result is still returned for diagnostics.
 	return res, simErr
 }
 
 // writeCheckpoint captures the complete dynamic state after completed
 // cycle cy and writes it atomically to path.
-func (s *System) writeCheckpoint(path string, src traffic.Source, col *stats.Collector, eng *fault.Engine, cy int64) error {
+func (s *System) writeCheckpoint(path string, ss *session, cy int64) error {
 	if path == "" {
 		return fmt.Errorf("chipletnet: checkpoint requested but RunControl.CheckpointPath is empty")
 	}
-	st, err := s.captureState(src, col, eng, cy)
+	st, err := s.captureState(ss, cy)
 	if err != nil {
 		return err
 	}
@@ -414,7 +413,7 @@ func (s *System) writeCheckpoint(path string, src traffic.Source, col *stats.Col
 
 // captureState assembles the checkpoint State for the run at completed
 // cycle cy.
-func (s *System) captureState(src traffic.Source, col *stats.Collector, eng *fault.Engine, cy int64) (*checkpoint.State, error) {
+func (s *System) captureState(ss *session, cy int64) (*checkpoint.State, error) {
 	cfgJSON, err := json.Marshal(s.Cfg)
 	if err != nil {
 		return nil, fmt.Errorf("chipletnet: serializing configuration: %w", err)
@@ -424,12 +423,12 @@ func (s *System) captureState(src traffic.Source, col *stats.Collector, eng *fau
 		Config: cfgJSON,
 		Cycle:  cy,
 		Fabric: s.Topo.Fabric.Snapshot(tbl),
-		Gen:    src.Snapshot(),
-		Stats:  col.Snapshot(),
+		Gen:    ss.src.Snapshot(),
+		Stats:  ss.col.Snapshot(),
 		Topo:   s.Topo.Snapshot(),
 	}
-	if eng != nil {
-		st.Fault = eng.Snapshot()
+	if ss.eng != nil {
+		st.Fault = ss.eng.Snapshot()
 	}
 	st.Packets = tbl.List()
 	return st, nil

@@ -1,6 +1,7 @@
 package chipletnet
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -46,15 +47,11 @@ func resultJSON(t *testing.T, res Result) string {
 func runInterruptedAndResume(t *testing.T, cfg Config, stopCycle int64) (Result, error) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	sys, err := Build(cfg)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	_, err = sys.SimulateControlled(RunControl{CheckpointPath: path, InterruptAtCycle: stopCycle})
+	_, err := Run(context.Background(), cfg, RunControl{CheckpointPath: path, InterruptAtCycle: stopCycle})
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupt at cycle %d: got error %v, want ErrInterrupted", stopCycle, err)
 	}
-	return ResumeRun(path, RunControl{})
+	return Resume(context.Background(), path, RunControl{})
 }
 
 // TestCheckpointResumeBitIdentical is the tentpole guarantee: for every
@@ -109,7 +106,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			}
 			for _, cc := range cases {
 				t.Run(cc.name, func(t *testing.T) {
-					refRes, refErr := Run(cc.cfg)
+					refRes, refErr := Run(context.Background(), cc.cfg, RunControl{})
 					ref := resultJSON(t, refRes)
 					for _, stop := range []int64{50, 300, 450} {
 						res, err := runInterruptedAndResume(t, cc.cfg, stop)
@@ -134,7 +131,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 func TestCheckpointResumeMidDrain(t *testing.T) {
 	cfg := ckptTestConfig(HypercubeTopology(3))
 	cfg.Fault.BER = 5e-4
-	refRes, refErr := Run(cfg)
+	refRes, refErr := Run(context.Background(), cfg, RunControl{})
 	if refErr != nil {
 		t.Fatalf("uninterrupted run: %v", refErr)
 	}
@@ -157,18 +154,14 @@ func TestCheckpointResumeMidDrain(t *testing.T) {
 func TestCheckpointPeriodicDoesNotPerturb(t *testing.T) {
 	cfg := ckptTestConfig(HypercubeTopology(3))
 	cfg.Fault.BER = 5e-4
-	ref, err := Run(cfg)
+	ref, err := Run(context.Background(), cfg, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	refJSON := resultJSON(t, ref)
 
 	path := filepath.Join(t.TempDir(), "periodic.ckpt")
-	sys, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.SimulateControlled(RunControl{CheckpointPath: path, CheckpointEvery: 97})
+	res, err := Run(context.Background(), cfg, RunControl{CheckpointPath: path, CheckpointEvery: 97})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +176,7 @@ func TestCheckpointPeriodicDoesNotPerturb(t *testing.T) {
 	if st.Cycle%97 != 0 {
 		t.Errorf("last checkpoint at cycle %d, want a multiple of 97", st.Cycle)
 	}
-	resumed, err := ResumeRun(path, RunControl{})
+	resumed, err := Resume(context.Background(), path, RunControl{})
 	if err != nil {
 		t.Fatalf("resume from last periodic checkpoint (cycle %d): %v", st.Cycle, err)
 	}
@@ -198,11 +191,7 @@ func TestCheckpointTypedErrors(t *testing.T) {
 	cfg := ckptTestConfig(HypercubeTopology(3))
 	cfg.MeasureCycles = 100
 	path := filepath.Join(t.TempDir(), "good.ckpt")
-	sys, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.SimulateControlled(RunControl{CheckpointPath: path, InterruptAtCycle: 50}); !errors.Is(err, ErrInterrupted) {
+	if _, err := Run(context.Background(), cfg, RunControl{CheckpointPath: path, InterruptAtCycle: 50}); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("got %v, want ErrInterrupted", err)
 	}
 	good, err := os.ReadFile(path)
@@ -216,7 +205,7 @@ func TestCheckpointTypedErrors(t *testing.T) {
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := ResumeRun(p, RunControl{})
+		_, err := Resume(context.Background(), p, RunControl{})
 		if !errors.Is(err, want) {
 			t.Errorf("%s: got %v, want %v", name, err, want)
 		}
@@ -244,11 +233,7 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	cfg := ckptTestConfig(HypercubeTopology(3))
 	cfg.Fault.BER = 5e-4
 	path := filepath.Join(t.TempDir(), "faulty.ckpt")
-	sys, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.SimulateControlled(RunControl{CheckpointPath: path, InterruptAtCycle: 200}); !errors.Is(err, ErrInterrupted) {
+	if _, err := Run(context.Background(), cfg, RunControl{CheckpointPath: path, InterruptAtCycle: 200}); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("got %v, want ErrInterrupted", err)
 	}
 	st, err := checkpoint.ReadFile(path)
@@ -269,7 +254,7 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	if err := checkpoint.WriteFile(path, st); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResumeRun(path, RunControl{}); !errors.Is(err, checkpoint.ErrMismatch) {
+	if _, err := Resume(context.Background(), path, RunControl{}); !errors.Is(err, checkpoint.ErrMismatch) {
 		t.Errorf("got %v, want ErrMismatch", err)
 	}
 }
@@ -282,7 +267,7 @@ func TestSweepPartialResults(t *testing.T) {
 	cfg.DrainCycles = 0
 	cfg.MeasureCycles = 200
 	rates := []float64{0.05, -1, 0.1}
-	results, err := Sweep(cfg, rates)
+	results, err := rateSweep(cfg, rates)
 	if err == nil {
 		t.Fatal("sweep with a negative rate did not error")
 	}
@@ -299,19 +284,16 @@ func TestSweepPartialResults(t *testing.T) {
 	}
 }
 
-// TestRunControlDeadline: a closed Deadline aborts the run with ErrTimeout
+// TestRunControlDeadline: a run whose context is already done stops at
+// the first cycle boundary with ErrCanceled wrapping the context's error,
 // and a diagnostic snapshot of the in-flight traffic.
 func TestRunControlDeadline(t *testing.T) {
 	cfg := ckptTestConfig(HypercubeTopology(3))
-	sys, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dl := make(chan struct{})
-	close(dl)
-	res, err := sys.SimulateControlled(RunControl{Deadline: dl})
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("got %v, want ErrTimeout", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Run(ctx, cfg, RunControl{})
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want ErrCanceled wrapping context.Canceled", err)
 	}
 	if !res.TimedOut {
 		t.Error("Result.TimedOut not set")

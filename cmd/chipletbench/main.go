@@ -46,7 +46,9 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -81,20 +83,32 @@ type enginePair struct {
 func refVsActive() enginePair {
 	return enginePair{
 		baseKey: "reference", optKey: "active",
-		setBase: func() { chipletnet.UseEngine = chipletnet.EngineReference },
-		setOpt:  func() { chipletnet.UseEngine = chipletnet.EngineActive },
+		setBase: useEngine(string(chipletnet.EngineReference)),
+		setOpt:  useEngine(string(chipletnet.EngineActive)),
 	}
 }
 
+// useEngine returns a setter installing the named cycle engine.
+func useEngine(engine string) func() {
+	return func() {
+		if err := chipletnet.SetEngine(engine); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// islandsMode selects the islands suite's measured side: false runs the
+// serial active-set engine, true parallel islands with the island count
+// each workload body installs. Toggled by the suite's enginePair.
+var islandsMode bool
+
 // activeVsIslands is the islands suite's pair: the serial active-set
 // engine (the previous champion) as baseline, parallel islands optimized.
-// The per-workload island count is set by the workload body (it is
-// ignored under the baseline engine).
 func activeVsIslands() enginePair {
 	return enginePair{
 		baseKey: "active", optKey: "islands",
-		setBase: func() { chipletnet.UseEngine = chipletnet.EngineActive },
-		setOpt:  func() { chipletnet.UseEngine = chipletnet.EngineIslands },
+		setBase: func() { islandsMode = false },
+		setOpt:  func() { islandsMode = true },
 	}
 }
 
@@ -135,7 +149,7 @@ func workloads() []workload {
 				b.ReportAllocs()
 				cfg := lowCfg()
 				for i := 0; i < b.N; i++ {
-					if _, err := chipletnet.Run(cfg); err != nil {
+					if _, err := chipletnet.Run(context.Background(), cfg, chipletnet.RunControl{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -149,8 +163,11 @@ func workloads() []workload {
 				cfg := lowCfg()
 				cfg.WarmupCycles = experiments.Quick.WarmupCycles
 				cfg.MeasureCycles = experiments.Quick.MeasureCycles
+				cfgs := []chipletnet.Config{cfg, cfg}
+				cfgs[0].InjectionRate, cfgs[1].InjectionRate = 0.05, 0.1
 				for i := 0; i < b.N; i++ {
-					if _, err := chipletnet.Sweep(cfg, []float64{0.05, 0.1}); err != nil {
+					_, errs := chipletnet.RunBatch(context.Background(), cfgs)
+					if err := errors.Join(errs...); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -165,7 +182,7 @@ func workloads() []workload {
 				cfg := lowCfg()
 				cfg.InjectionRate = 0.3
 				for i := 0; i < b.N; i++ {
-					if _, err := chipletnet.Run(cfg); err != nil {
+					if _, err := chipletnet.Run(context.Background(), cfg, chipletnet.RunControl{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -374,10 +391,14 @@ func islandsWorkloads() []workload {
 	run := func(k int) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
-			chipletnet.IslandCount = k
+			engine := string(chipletnet.EngineActive)
+			if islandsMode {
+				engine = fmt.Sprintf("islands:%d", k)
+			}
+			useEngine(engine)()
 			cfg := islandsCfg()
 			for i := 0; i < b.N; i++ {
-				if _, err := chipletnet.Run(cfg); err != nil {
+				if _, err := chipletnet.Run(context.Background(), cfg, chipletnet.RunControl{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -444,7 +465,7 @@ func workloadWorkloads() []workload {
 					cfg.Workload = "replay:" + workloadTracePath
 				}
 				for i := 0; i < b.N; i++ {
-					if _, err := chipletnet.Run(cfg); err != nil {
+					if _, err := chipletnet.Run(context.Background(), cfg, chipletnet.RunControl{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -457,7 +478,7 @@ func workloadWorkloads() []workload {
 				cfg := workloadBenchCfg()
 				cfg.Workload = "aiscaleout:allreduce-ring,data=128,compute=100,memrate=0.05,reqrate=0.02"
 				for i := 0; i < b.N; i++ {
-					if _, err := chipletnet.Run(cfg); err != nil {
+					if _, err := chipletnet.Run(context.Background(), cfg, chipletnet.RunControl{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -474,11 +495,7 @@ func recordWorkloadTrace() (string, error) {
 		return "", err
 	}
 	path := dir + "/bench.trace"
-	sys, err := chipletnet.Build(workloadBenchCfg())
-	if err != nil {
-		return "", err
-	}
-	if _, err := sys.SimulateControlled(chipletnet.RunControl{TracePath: path}); err != nil {
+	if _, err := chipletnet.Run(context.Background(), workloadBenchCfg(), chipletnet.RunControl{TracePath: path}); err != nil {
 		return "", err
 	}
 	return path, nil
@@ -510,10 +527,7 @@ func suiteWorkloads(suite string) ([]workload, enginePair, error) {
 // keeps each workload's fastest run (minimum ns/op).
 func measure(ws []workload, set func(), count int) []measurement {
 	set()
-	defer func() {
-		chipletnet.UseEngine = chipletnet.EngineActive
-		chipletnet.IslandCount = 0
-	}()
+	defer useEngine(string(chipletnet.EngineActive))()
 	var out []measurement
 	for _, w := range ws {
 		var best testing.BenchmarkResult

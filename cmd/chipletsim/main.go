@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -24,7 +25,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"chipletnet"
 	"chipletnet/internal/checkpoint"
@@ -218,29 +218,26 @@ func main() {
 		}()
 		ctrl.Interrupt = intr
 	}
+	ctx := context.Background()
 	if *timeout > 0 {
-		dl := make(chan struct{})
-		time.AfterFunc(*timeout, func() { close(dl) })
-		ctrl.Deadline = dl
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
 	}
 
 	var res chipletnet.Result
 	var err error
 	if *resumePath != "" {
-		res, err = chipletnet.ResumeRun(*resumePath, ctrl)
+		res, err = chipletnet.Resume(ctx, *resumePath, ctrl)
 	} else {
-		var sys *chipletnet.System
-		if sys, err = chipletnet.Build(cfg); err != nil {
-			fatalf("%v", err)
-		}
-		res, err = sys.SimulateControlled(ctrl)
+		res, err = chipletnet.Run(ctx, cfg, ctrl)
 	}
 	switch {
 	case errors.Is(err, chipletnet.ErrInterrupted):
 		fmt.Fprintf(os.Stderr, "chipletsim: interrupted; checkpoint written to %s (resume with -resume %s)\n",
 			*ckptPath, *ckptPath)
 		os.Exit(130)
-	case errors.Is(err, chipletnet.ErrTimeout):
+	case errors.Is(err, context.DeadlineExceeded):
 		fmt.Fprintf(os.Stderr, "chipletsim: wall-clock timeout after %v\n", *timeout)
 		if res.DeadlockReport != nil {
 			fmt.Fprintln(os.Stderr, res.DeadlockReport)

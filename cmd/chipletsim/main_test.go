@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -89,11 +90,7 @@ func TestResumeMismatchDiagnostic(t *testing.T) {
 	cfg.MeasureCycles = 500
 	cfg.Fault.BER = 5e-4
 	path := filepath.Join(t.TempDir(), "doctored.ckpt")
-	sys, err := chipletnet.Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.SimulateControlled(chipletnet.RunControl{CheckpointPath: path, InterruptAtCycle: 200}); !errors.Is(err, chipletnet.ErrInterrupted) {
+	if _, err := chipletnet.Run(context.Background(), cfg, chipletnet.RunControl{CheckpointPath: path, InterruptAtCycle: 200}); !errors.Is(err, chipletnet.ErrInterrupted) {
 		t.Fatalf("got %v, want ErrInterrupted", err)
 	}
 	st, err := checkpoint.ReadFile(path)
@@ -147,5 +144,27 @@ func TestResumeMissingFileExits1(t *testing.T) {
 	}
 	if strings.Contains(stderr.String(), "does not match configuration") {
 		t.Errorf("missing file misreported as a config mismatch:\n%s", stderr.String())
+	}
+}
+
+// TestTimeoutExits2: -timeout on a run far longer than the budget stops
+// it at a cycle boundary, exits 2 and prints the diagnostic snapshot.
+func TestTimeoutExits2(t *testing.T) {
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "CHIPLETSIM_CHILD=1",
+		"CHIPLETSIM_ARGS=-topology hypercube -dims 3 -rate 0.1 -warmup 100 -measure 50000000 -timeout 1ms")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("timed-out run: err = %v (stderr %q), want exit 2", err, stderr.String())
+	}
+	out := stderr.String()
+	if !strings.Contains(out, "wall-clock timeout after 1ms") {
+		t.Errorf("stderr lacks the timeout message:\n%s", out)
+	}
+	if !strings.Contains(out, "packets in flight") {
+		t.Errorf("stderr lacks the diagnostic report:\n%s", out)
 	}
 }

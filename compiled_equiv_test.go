@@ -1,6 +1,7 @@
 package chipletnet
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -77,8 +78,8 @@ func TestCompiledEngineEquivalence(t *testing.T) {
 							interpreted := cc.cfg
 							compiled := cc.cfg
 							compiled.CompiledRouting = true
-							intRes, intErr := Run(interpreted)
-							cmpRes, cmpErr := Run(compiled)
+							intRes, intErr := Run(context.Background(), interpreted, RunControl{})
+							cmpRes, cmpErr := Run(context.Background(), compiled, RunControl{})
 							if errText(intErr) != errText(cmpErr) {
 								t.Fatalf("errors differ: interpreted %q, compiled %q", errText(intErr), errText(cmpErr))
 							}

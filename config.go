@@ -10,7 +10,12 @@
 //	cfg := chipletnet.DefaultConfig()
 //	cfg.Topology = chipletnet.HypercubeTopology(6) // 64 chiplets
 //	cfg.InjectionRate = 0.2
-//	res, err := chipletnet.Run(cfg)
+//	res, err := chipletnet.Run(context.Background(), cfg, chipletnet.RunControl{})
+//
+// Run takes a context for cancellation and deadlines and a RunControl
+// for checkpointing; Resume continues a checkpointed run, RunBatch runs
+// many configurations in parallel, and Build + System.Simulate runs one
+// configuration to completion on an already-built system.
 //
 // See the examples/ directory for complete programs and cmd/chipletfig for
 // the harness that regenerates every table and figure of the paper.

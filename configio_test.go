@@ -2,6 +2,7 @@ package chipletnet
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -63,7 +64,7 @@ func TestSingleChipletSystem(t *testing.T) {
 	cfg.InjectionRate = 0.3
 	cfg.WarmupCycles = 300
 	cfg.MeasureCycles = 2000
-	res, err := Run(cfg)
+	res, err := Run(context.Background(), cfg, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}

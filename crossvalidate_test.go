@@ -1,6 +1,7 @@
 package chipletnet
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -16,7 +17,7 @@ func saturate(t *testing.T, cfg Config, pattern string) Result {
 	cfg.WarmupCycles = 200
 	cfg.MeasureCycles = 1800
 	cfg.DeadlockThreshold = 500
-	res, err := Run(cfg)
+	res, err := Run(context.Background(), cfg, RunControl{})
 	if err != nil {
 		t.Fatalf("%v / %s: %v", cfg.Topology, pattern, err)
 	}

@@ -41,7 +41,7 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	digest := func() string {
 		h := sha256.New()
 		for i, cfg := range configs {
-			results, err := Sweep(cfg, rates)
+			results, err := rateSweep(cfg, rates)
 			if err != nil {
 				t.Fatalf("config %d (%+v): %v", i, cfg.Topology, err)
 			}
@@ -101,7 +101,7 @@ func TestIslandsDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	digest := func() string {
 		h := sha256.New()
 		for i, cfg := range configs {
-			results, err := Sweep(cfg, rates)
+			results, err := rateSweep(cfg, rates)
 			if err != nil {
 				t.Fatalf("config %d (%+v): %v", i, cfg.Topology, err)
 			}

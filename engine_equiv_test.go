@@ -2,6 +2,7 @@ package chipletnet
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/gob"
 	"errors"
@@ -57,16 +58,16 @@ func equivEngines() []engineSetup {
 // withEngine installs s as the process-wide engine selection, runs fn,
 // and restores the previous selection.
 func withEngine(s engineSetup, fn func()) {
-	prevE, prevK := UseEngine, IslandCount
-	UseEngine, IslandCount = s.eng, s.k
-	defer func() { UseEngine, IslandCount = prevE, prevK }()
+	prevE, prevK := useEngine, islandCount
+	useEngine, islandCount = s.eng, s.k
+	defer func() { useEngine, islandCount = prevE, prevK }()
 	fn()
 }
 
 // runEngine runs cfg under the given cycle engine and restores the
 // package knobs afterwards.
 func runEngine(s engineSetup, cfg Config) (res Result, err error) {
-	withEngine(s, func() { res, err = Run(cfg) })
+	withEngine(s, func() { res, err = Run(context.Background(), cfg, RunControl{}) })
 	return res, err
 }
 
@@ -192,11 +193,8 @@ func TestEngineCheckpointInterchangeable(t *testing.T) {
 		var data []byte
 		withEngine(s, func() {
 			path := filepath.Join(t.TempDir(), "run.ckpt")
-			sys, err := Build(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sys.SimulateControlled(RunControl{CheckpointPath: path, InterruptAtCycle: 150}); !errors.Is(err, ErrInterrupted) {
+			_, err := Run(context.Background(), cfg, RunControl{CheckpointPath: path, InterruptAtCycle: 150})
+			if !errors.Is(err, ErrInterrupted) {
 				t.Fatalf("got %v, want ErrInterrupted", err)
 			}
 			if data, err = os.ReadFile(path); err != nil {
@@ -235,7 +233,7 @@ func TestEngineCheckpointInterchangeable(t *testing.T) {
 				t.Fatal(err)
 			}
 			withEngine(cross.resume, func() {
-				res, err := ResumeRun(path, RunControl{})
+				res, err := Resume(context.Background(), path, RunControl{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -279,11 +277,11 @@ func TestResetBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				freshFirst, err := Run(cfg)
+				freshFirst, err := Run(context.Background(), cfg, RunControl{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				freshSecond, err := Run(cfg2)
+				freshSecond, err := Run(context.Background(), cfg2, RunControl{})
 				if err != nil {
 					t.Fatal(err)
 				}

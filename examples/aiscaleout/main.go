@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -79,7 +80,7 @@ func run(topo chipletnet.Topology) chipletnet.Result {
 	cfg.Workload = workload
 	cfg.WarmupCycles = 500
 	cfg.MeasureCycles = 2500
-	res, err := chipletnet.Run(cfg)
+	res, err := chipletnet.Run(context.Background(), cfg, chipletnet.RunControl{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,7 @@ func main() {
 	cfg.CheckCredits = true // audit credit conservation every cycle
 
 	// A healthy run first, for comparison.
-	healthy, err := chipletnet.Run(cfg)
+	healthy, err := chipletnet.Run(context.Background(), cfg, chipletnet.RunControl{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func main() {
 	cfg.Fault.BER = 1e-4
 	cfg.Fault.Kill = []chipletnet.FaultKill{{Cycle: 1000, A: pair.A, B: pair.B}}
 
-	res, err := chipletnet.Run(cfg)
+	res, err := chipletnet.Run(context.Background(), cfg, chipletnet.RunControl{})
 	if err != nil {
 		log.Fatal(err) // typed: fault.ErrPartitioned / ErrDegradedUnsafe
 	}

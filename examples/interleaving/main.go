@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,7 @@ func main() {
 			cfg.InjectionRate = rate
 			cfg.WarmupCycles = 500
 			cfg.MeasureCycles = 2500
-			res, err := chipletnet.Run(cfg)
+			res, err := chipletnet.Run(context.Background(), cfg, chipletnet.RunControl{})
 			if err != nil {
 				log.Fatal(err)
 			}

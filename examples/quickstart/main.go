@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,7 +26,7 @@ func main() {
 		chipletnet.HypercubeTopology(6), // the paper's high-radix proposal
 	} {
 		cfg.Topology = topo
-		res, err := chipletnet.Run(cfg)
+		res, err := chipletnet.Run(context.Background(), cfg, chipletnet.RunControl{})
 		if err != nil {
 			log.Fatal(err)
 		}

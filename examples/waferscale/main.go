@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 			cfg.InjectionRate = 0.35
 			cfg.WarmupCycles = 500
 			cfg.MeasureCycles = 2500
-			res, err := chipletnet.Run(cfg)
+			res, err := chipletnet.Run(context.Background(), cfg, chipletnet.RunControl{})
 			if err != nil {
 				log.Fatal(err)
 			}

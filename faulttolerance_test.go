@@ -1,6 +1,7 @@
 package chipletnet
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -40,7 +41,7 @@ func TestKilledCrossLinkPerTopology(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			base := faultTestConfig(tc.topo)
-			baseline, err := Run(base)
+			baseline, err := Run(context.Background(), base, RunControl{})
 			if err != nil {
 				t.Fatalf("baseline: %v", err)
 			}
@@ -58,7 +59,7 @@ func TestKilledCrossLinkPerTopology(t *testing.T) {
 			}
 			cfg := base
 			cfg.Fault.Kill = []FaultKill{{Cycle: 300, A: pairs[0].A, B: pairs[0].B}}
-			res, err := Run(cfg)
+			res, err := Run(context.Background(), cfg, RunControl{})
 			if err != nil {
 				if !errors.Is(err, fault.ErrPartitioned) {
 					t.Fatalf("untyped failure: %v", err)
@@ -123,7 +124,7 @@ func TestFaultAcceptanceHypercube(t *testing.T) {
 		cfg.Fault.Kill = append(cfg.Fault.Kill, FaultKill{Cycle: int64(400 + 100*g), A: a, B: b})
 	}
 
-	res, err := Run(cfg)
+	res, err := Run(context.Background(), cfg, RunControl{})
 	if err != nil {
 		t.Fatalf("simulate: %v", err)
 	}
@@ -175,11 +176,11 @@ func TestFaultsDisabledDeterminism(t *testing.T) {
 	cfg := faultTestConfig(HypercubeTopology(3))
 	cfg.CheckCredits = false
 	cfg.DrainCycles = 0
-	a, err := Run(cfg)
+	a, err := Run(context.Background(), cfg, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := Run(context.Background(), cfg, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestFaultsDisabledDeterminism(t *testing.T) {
 	// And the same seed with the audit enabled must not change results
 	// either (the audit only observes).
 	cfg.CheckCredits = true
-	c, err := Run(cfg)
+	c, err := Run(context.Background(), cfg, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestFaultSchedulePartitionTyped(t *testing.T) {
 		b := sys.Topo.Nodes[a].Ports[pa].To
 		cfg.Fault.Kill = append(cfg.Fault.Kill, FaultKill{Cycle: int64(200 + i), A: a, B: b})
 	}
-	_, err = Run(cfg)
+	_, err = Run(context.Background(), cfg, RunControl{})
 	if err == nil {
 		t.Fatal("killing a whole group did not error")
 	}
@@ -268,7 +269,7 @@ func FuzzFaultSchedule(f *testing.F) {
 			})
 		}
 
-		res, err := Run(cfg)
+		res, err := Run(context.Background(), cfg, RunControl{})
 		if err != nil {
 			if errors.Is(err, fault.ErrPartitioned) ||
 				errors.Is(err, fault.ErrDegradedUnsafe) ||

@@ -1,6 +1,7 @@
 package chipletnet
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -102,19 +103,15 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		if _, err := Build(cfg); err != nil {
 			t.Skip() // invalid combinations may be rejected, not crash
 		}
-		refRes, refErr := Run(cfg)
+		refRes, refErr := Run(context.Background(), cfg, RunControl{})
 		stop := 1 + ((stopCycle%400)+400)%400 // within warm-up, measurement, or early drain
 
 		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
-		sys, err := Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = sys.SimulateControlled(RunControl{CheckpointPath: path, InterruptAtCycle: stop})
+		_, err := Run(context.Background(), cfg, RunControl{CheckpointPath: path, InterruptAtCycle: stop})
 		if !errors.Is(err, ErrInterrupted) {
 			t.Skip() // run ended (error or empty drain) before the interrupt cycle
 		}
-		res, err := ResumeRun(path, RunControl{})
+		res, err := Resume(context.Background(), path, RunControl{})
 		if errText(err) != errText(refErr) {
 			t.Fatalf("seed %d stop %d: resumed error %q, uninterrupted %q", seed, stop, errText(err), errText(refErr))
 		}
@@ -131,7 +128,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		if err := os.WriteFile(bad, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err = ResumeRun(bad, RunControl{})
+		_, err = Resume(context.Background(), bad, RunControl{})
 		if err == nil {
 			t.Fatalf("seed %d: corrupted checkpoint (byte %d) loaded successfully", seed, corrupt%uint64(len(data)))
 		}

@@ -1,6 +1,7 @@
 package chipletnet
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -42,7 +43,7 @@ func smallTopologies() []Topology {
 func TestAllTopologiesDeliver(t *testing.T) {
 	for _, topo := range smallTopologies() {
 		cfg := fastCfg(topo)
-		res, err := Run(cfg)
+		res, err := Run(context.Background(), cfg, RunControl{})
 		if err != nil {
 			t.Fatalf("%v: %v", topo, err)
 		}
@@ -83,7 +84,7 @@ func TestSaturationLoadNoDeadlock(t *testing.T) {
 			cfg.Routing = mode
 			cfg.InjectionRate = 1.0
 			cfg.MeasureCycles = cycles
-			res, err := Run(cfg)
+			res, err := Run(context.Background(), cfg, RunControl{})
 			if err != nil {
 				t.Fatalf("%v/%v: %v", topo, mode, err)
 			}
@@ -110,7 +111,7 @@ func TestSafeUnsafeOversaturated(t *testing.T) {
 		cfg.Topology = topo
 		cfg.Routing = RoutingSafeUnsafe
 		cfg.InjectionRate = 1.2
-		res, err := Run(cfg)
+		res, err := Run(context.Background(), cfg, RunControl{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,11 +128,11 @@ func TestSafeUnsafeOversaturated(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	cfg := fastCfg(HypercubeTopology(4))
 	cfg.InjectionRate = 0.4
-	a, err := Run(cfg)
+	a, err := Run(context.Background(), cfg, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := Run(context.Background(), cfg, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestDeterminism(t *testing.T) {
 		t.Errorf("same seed diverged: %+v vs %+v", a.Summary, b.Summary)
 	}
 	cfg.Seed = 999
-	c, err := Run(cfg)
+	c, err := Run(context.Background(), cfg, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +161,11 @@ func TestHypercubeBeatsBaseline(t *testing.T) {
 	mesh := fastCfg(MeshTopology(8, 8))
 	cube := fastCfg(HypercubeTopology(6))
 	mesh.InjectionRate, cube.InjectionRate = 0.3, 0.3
-	rm, err := Run(mesh)
+	rm, err := Run(context.Background(), mesh, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := Run(cube)
+	rc, err := Run(context.Background(), cube, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestInterleavingImproves(t *testing.T) {
 	run := func(il string) Result {
 		c := base
 		c.Interleave = il
-		r, err := Run(c)
+		r, err := Run(context.Background(), c, RunControl{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +215,7 @@ func TestAllPatternsRun(t *testing.T) {
 	for _, pat := range []string{"uniform", "hotspot", "bit-complement", "bit-reverse", "bit-shuffle", "bit-transpose"} {
 		cfg := fastCfg(HypercubeTopology(4))
 		cfg.Pattern = pat
-		res, err := Run(cfg)
+		res, err := Run(context.Background(), cfg, RunControl{})
 		if err != nil {
 			t.Fatalf("%s: %v", pat, err)
 		}
@@ -228,7 +229,7 @@ func TestAllPatternsRun(t *testing.T) {
 func TestSweepOrdersResults(t *testing.T) {
 	cfg := fastCfg(HypercubeTopology(2))
 	rates := []float64{0.05, 0.2, 0.6}
-	results, err := Sweep(cfg, rates)
+	results, err := rateSweep(cfg, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestThroughputTracksOffered(t *testing.T) {
 	cfg := fastCfg(HypercubeTopology(4))
 	cfg.InjectionRate = 0.3
 	cfg.MeasureCycles = 6000
-	res, err := Run(cfg)
+	res, err := Run(context.Background(), cfg, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestSaturationRateSearch(t *testing.T) {
 	}
 	// The found rate must indeed be stable.
 	cfg.InjectionRate = sat
-	res, err := Run(cfg)
+	res, err := Run(context.Background(), cfg, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,12 +291,12 @@ func TestSaturationRateSearch(t *testing.T) {
 func TestMeasurementWindowMatters(t *testing.T) {
 	cfg := fastCfg(HypercubeTopology(4))
 	cfg.InjectionRate = 0.2
-	short, err := Run(cfg)
+	short, err := Run(context.Background(), cfg, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.MeasureCycles *= 3
-	long, err := Run(cfg)
+	long, err := Run(context.Background(), cfg, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,11 +312,11 @@ func TestNDMeshSeparationAblation(t *testing.T) {
 	cfg := fastCfg(NDMeshTopology(2, 2))
 	cfg.DisableNDMeshVCSeparation = true
 	cfg.InjectionRate = 0.05
-	if _, err := Run(cfg); err == nil {
+	if _, err := Run(context.Background(), cfg, RunControl{}); err == nil {
 		t.Fatal("equal-channel mode accepted without AllowUnsafeRouting")
 	}
 	cfg.AllowUnsafeRouting = true
-	res, err := Run(cfg)
+	res, err := Run(context.Background(), cfg, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +333,7 @@ func TestCustomIrregularTopology(t *testing.T) {
 	cfg.Routing = RoutingSafeUnsafe
 	for _, rate := range []float64{0.1, 1.0} {
 		cfg.InjectionRate = rate
-		res, err := Run(cfg)
+		res, err := Run(context.Background(), cfg, RunControl{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +347,7 @@ func TestCustomIrregularTopology(t *testing.T) {
 	// Irregular graphs have no MFR label structure; Duato mode must be
 	// rejected with a helpful error.
 	cfg.Routing = RoutingDuato
-	if _, err := Run(cfg); err == nil {
+	if _, err := Run(context.Background(), cfg, RunControl{}); err == nil {
 		t.Error("custom topology accepted without safe/unsafe routing")
 	}
 }
@@ -358,11 +359,11 @@ func TestTorusWrapChannelsHelp(t *testing.T) {
 	mesh := fastCfg(NDMeshTopology(4, 4))
 	torus := fastCfg(NDTorusTopology(4, 4))
 	mesh.InjectionRate, torus.InjectionRate = 0.4, 0.4
-	rm, err := Run(mesh)
+	rm, err := Run(context.Background(), mesh, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := Run(torus)
+	rt, err := Run(context.Background(), torus, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,13 +380,13 @@ func TestTorusWrapChannelsHelp(t *testing.T) {
 func TestFaultToleranceGracefulDegradation(t *testing.T) {
 	base := fastCfg(HypercubeTopology(4))
 	base.InjectionRate = 0.2
-	healthy, err := Run(base)
+	healthy, err := Run(context.Background(), base, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	faulty := base
 	faulty.CrossLinkFaultFraction = 0.15
-	degraded, err := Run(faulty)
+	degraded, err := Run(context.Background(), faulty, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +402,7 @@ func TestFaultToleranceGracefulDegradation(t *testing.T) {
 	// Faults on the baseline are rejected (no redundancy to exploit).
 	bad := fastCfg(MeshTopology(4, 4))
 	bad.CrossLinkFaultFraction = 0.1
-	if _, err := Run(bad); err == nil {
+	if _, err := Run(context.Background(), bad, RunControl{}); err == nil {
 		t.Error("flat-mesh faults accepted")
 	}
 }

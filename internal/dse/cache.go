@@ -17,9 +17,9 @@ import (
 
 // keyPayload is the canonical content of one candidate evaluation: the
 // fully-resolved configuration plus every evaluation parameter that
-// shapes the Record. The cycle-engine choice (chipletnet.
-// UseEngine) is deliberately absent — the engines are bit-identical,
-// so their results are interchangeable cache entries.
+// shapes the Record. The cycle-engine choice (chipletnet.SetEngine) is
+// deliberately absent — the engines are bit-identical, so their results
+// are interchangeable cache entries.
 type keyPayload struct {
 	Cfg          chipletnet.Config
 	Rates        []float64

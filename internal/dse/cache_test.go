@@ -301,12 +301,15 @@ func TestKeyIgnoresEngineChoice(t *testing.T) {
 	cfg := chipletnet.DefaultConfig()
 	p := DefaultParams()
 	before := Key(cfg, p)
-	prev := chipletnet.UseEngine
-	chipletnet.UseEngine = chipletnet.EngineReference
+	defer chipletnet.SetEngine(string(chipletnet.EngineActive))
+	if err := chipletnet.SetEngine(string(chipletnet.EngineReference)); err != nil {
+		t.Fatal(err)
+	}
 	after := Key(cfg, p)
-	chipletnet.UseEngine = chipletnet.EngineIslands
+	if err := chipletnet.SetEngine(string(chipletnet.EngineIslands)); err != nil {
+		t.Fatal(err)
+	}
 	afterIslands := Key(cfg, p)
-	chipletnet.UseEngine = prev
 	if before != afterIslands {
 		t.Error("engine choice leaked into the cache key")
 	}

@@ -19,7 +19,7 @@
 //     into cache hits and pending evaluations.
 //  3. Eval.Run measures one candidate on the cycle engine — a zero-load
 //     probe for latency and transport energy plus a rate ladder for the
-//     sustainable injection rate — through chipletnet.RunMany, the
+//     sustainable injection rate — through chipletnet.RunBatch, the
 //     module root's parallel executor (internal packages spawn no
 //     goroutines; see cmd/chipletlint). Results are content-addressed:
 //     Key hashes the fully-resolved Config and evaluation parameters,

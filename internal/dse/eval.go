@@ -2,6 +2,7 @@ package dse
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -161,7 +162,7 @@ type Eval struct {
 }
 
 // Run measures the candidate: the zero-load probe plus the rate ladder,
-// executed in parallel through chipletnet.RunMany (the module root owns
+// executed in parallel through chipletnet.RunBatch (the module root owns
 // all goroutines; see cmd/chipletlint). The returned Record is
 // independent of GOMAXPROCS and of the cycle-engine choice.
 func (e Eval) Run() (Record, error) {
@@ -169,9 +170,10 @@ func (e Eval) Run() (Record, error) {
 }
 
 // RunCtx is Run under a context: a canceled context aborts the batch at
-// the next cycle boundary with an error wrapping chipletnet.ErrCanceled,
-// so daemon job deadlines and drains stop an evaluation cleanly
-// mid-batch. A completed RunCtx record is identical to Run's.
+// the next cycle boundary with an error wrapping chipletnet.ErrCanceled
+// (see chipletnet.RunBatch), so daemon job deadlines and drains stop an
+// evaluation cleanly mid-batch. A completed RunCtx record is identical
+// to Run's.
 func (e Eval) RunCtx(ctx context.Context) (Record, error) {
 	p := e.Params
 	// A non-synthetic workload source sets its own load, so the rate
@@ -193,8 +195,13 @@ func (e Eval) RunCtx(ctx context.Context) (Record, error) {
 		c.InjectionRate = r
 		cfgs = append(cfgs, c)
 	}
-	results, err := chipletnet.RunManyCtx(ctx, cfgs)
-	if err != nil {
+	results, errs := chipletnet.RunBatch(ctx, cfgs)
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = fmt.Errorf("config %d: %w", i, err)
+		}
+	}
+	if err := errors.Join(errs...); err != nil {
 		return Record{}, fmt.Errorf("dse: evaluating %s: %w", e.Candidate.Name, err)
 	}
 	// A very light probe on a tiny network can deliver nothing inside the

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -119,7 +120,7 @@ type job struct {
 
 // runJobs verifies and simulates a batch of jobs and converts the
 // results to points in job order. All jobs of a batch run concurrently
-// through chipletnet.RunEach — the parallelism lives at the module root
+// through chipletnet.RunBatch — the parallelism lives at the module root
 // (internal packages spawn no goroutines; see cmd/chipletlint), and the
 // output ordering is positional, so it is schedule-independent. Figures
 // hand their complete series × rate cross product here, which keeps
@@ -133,7 +134,7 @@ func runJobs(jobs []job) ([]Point, error) {
 		}
 		cfgs[i] = j.cfg
 	}
-	results, errs := chipletnet.RunEach(cfgs)
+	results, errs := chipletnet.RunBatch(context.Background(), cfgs)
 	pts := make([]Point, len(jobs))
 	for i, j := range jobs {
 		if errs[i] != nil {
@@ -491,7 +492,7 @@ func WorkloadStudy(s Scale) ([]Point, error) {
 			labels = append(labels, seriesName(topo))
 		}
 	}
-	results, errs := chipletnet.RunEach(cfgs)
+	results, errs := chipletnet.RunBatch(context.Background(), cfgs)
 	var pts []Point
 	for i, res := range results {
 		if errs[i] != nil {

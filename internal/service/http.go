@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,12 +9,19 @@ import (
 	"net/http"
 )
 
+// maxJobSpecBytes bounds a POST /jobs body. The largest spec the
+// repository's tests and examples submit is about 1 KB (a DSE space with
+// a full base Config); 1 MiB leaves three orders of magnitude of room for
+// long custom-topology edge lists while refusing unbounded bodies.
+const maxJobSpecBytes = 1 << 20
+
 // Handler returns the daemon's HTTP+JSON API:
 //
 //	GET  /healthz          → 200 while the process is alive
 //	GET  /readyz           → 200 accepting jobs, 503 while draining
 //	GET  /metrics          → plaintext operational counters
-//	POST /jobs             → submit a JobSpec; 202 with the queued Job
+//	POST /jobs             → submit a JobSpec; 202 with the queued Job,
+//	                         413 for a body over maxJobSpecBytes
 //	GET  /jobs             → all jobs in submission order
 //	GET  /jobs/{id}        → one job's structured status
 //	POST /jobs/{id}/cancel → cancel a queued or running job
@@ -37,8 +45,20 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	})
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
+		// Read the whole bounded body first, so an oversized one is
+		// refused even when a complete JSON value fits under the limit.
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJobSpecBytes))
+		if err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, code, err)
+			return
+		}
 		var spec JobSpec
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
 			writeError(w, http.StatusBadRequest, err)

@@ -29,7 +29,8 @@
 // goroutines, wall-clock deadlines and timers, and is therefore exempt
 // from the determinism lint that governs simulator packages (see
 // cmd/chipletlint's scope rules). All simulation still flows through the
-// module root's RunManyCtx/RunEachCtx executors.
+// module root's Run, Resume and RunBatch, with the job's context passed
+// straight through as the run's cancellation.
 package service
 
 import (
@@ -87,12 +88,18 @@ type JobSpec struct {
 }
 
 // Validate checks that the spec names a job type and carries the fields
-// that type needs.
+// that type needs, well-formed: a simulate or sweep Config must pass
+// Config.Validate and sweep Rates must be finite and positive. Submit
+// runs it before journaling, so a job that can only fail never enters
+// the journal.
 func (sp JobSpec) Validate() error {
 	switch sp.Type {
 	case JobSimulate:
 		if sp.Config == nil {
 			return errors.New("service: simulate job needs a Config")
+		}
+		if err := sp.Config.Validate(); err != nil {
+			return fmt.Errorf("service: simulate job: %w", err)
 		}
 	case JobSweep:
 		if sp.Config == nil {
@@ -100,6 +107,16 @@ func (sp JobSpec) Validate() error {
 		}
 		if len(sp.Rates) == 0 {
 			return errors.New("service: sweep job needs Rates")
+		}
+		for _, r := range sp.Rates {
+			if math.IsNaN(r) || math.IsInf(r, 0) || r <= 0 {
+				return fmt.Errorf("service: sweep job: rate %g is not a finite positive injection rate", r)
+			}
+			cfg := *sp.Config
+			cfg.InjectionRate = r
+			if err := cfg.Validate(); err != nil {
+				return fmt.Errorf("service: sweep job at rate %g: %w", r, err)
+			}
 		}
 	case JobDSE:
 		if sp.Space == nil {
@@ -664,22 +681,14 @@ func (s *Server) executeSimulate(ctx context.Context, job *Job) (json.RawMessage
 		CheckpointPath:  ckpt,
 		CheckpointEvery: s.cfg.CheckpointEvery,
 		Interrupt:       s.drainCh,
-		Deadline:        ctx.Done(),
 	}
 	var res chipletnet.Result
 	var err error
 	if _, statErr := os.Stat(ckpt); statErr == nil {
 		s.logf("job %s: resuming from checkpoint", job.ID)
-		res, err = chipletnet.ResumeRun(ckpt, ctrl)
+		res, err = chipletnet.Resume(ctx, ckpt, ctrl)
 	} else {
-		var sys *chipletnet.System
-		if sys, err = chipletnet.Build(*job.Spec.Config); err != nil {
-			return nil, err
-		}
-		res, err = sys.SimulateControlled(ctrl)
-	}
-	if errors.Is(err, chipletnet.ErrTimeout) && ctx.Err() != nil {
-		return nil, fmt.Errorf("%w: %v", chipletnet.ErrCanceled, ctx.Err())
+		res, err = chipletnet.Run(ctx, *job.Spec.Config, ctrl)
 	}
 	if err != nil {
 		return nil, err
@@ -703,7 +712,7 @@ func (s *Server) executeSweep(ctx context.Context, job *Job) (json.RawMessage, e
 	}
 	dctx, stop := s.drainContext(ctx)
 	defer stop()
-	results, errs := chipletnet.RunEachCtx(dctx, cfgs)
+	results, errs := chipletnet.RunBatch(dctx, cfgs)
 	var joined []error
 	for i, e := range errs {
 		if e != nil {
@@ -711,11 +720,8 @@ func (s *Server) executeSweep(ctx context.Context, job *Job) (json.RawMessage, e
 		}
 	}
 	if err := errors.Join(joined...); err != nil {
-		if errors.Is(err, chipletnet.ErrCanceled) && s.Draining() && ctx.Err() == nil {
+		if dctx.Err() != nil && ctx.Err() == nil {
 			return nil, errDrained
-		}
-		if errors.Is(err, chipletnet.ErrCanceled) && ctx.Err() != nil {
-			return nil, fmt.Errorf("%w: %v", chipletnet.ErrCanceled, ctx.Err())
 		}
 		return nil, err
 	}
@@ -749,14 +755,8 @@ func (s *Server) executeDSE(ctx context.Context, job *Job) (json.RawMessage, err
 			return nil, errDrained
 		default:
 		}
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("%w: %v", chipletnet.ErrCanceled, ctx.Err())
-		}
 		rec, err := ev.RunCtx(ctx)
 		if err != nil {
-			if errors.Is(err, chipletnet.ErrCanceled) && ctx.Err() != nil {
-				return nil, fmt.Errorf("%w: %v", chipletnet.ErrCanceled, ctx.Err())
-			}
 			return nil, err
 		}
 		if err := s.cache.Put(rec); err != nil {
@@ -805,8 +805,6 @@ func (s *Server) executeDSECoordinated(ctx context.Context, job *Job, plan *dse.
 			return partial, err
 		case dctx.Err() != nil && ctx.Err() == nil:
 			return nil, errDrained
-		case ctx.Err() != nil:
-			return nil, fmt.Errorf("%w: %v", chipletnet.ErrCanceled, ctx.Err())
 		}
 		return nil, err
 	}

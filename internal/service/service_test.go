@@ -2,11 +2,14 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -110,9 +113,99 @@ func TestSubmitValidation(t *testing.T) {
 
 func ptr[T any](v T) *T { return &v }
 
+// journalBytes reads the server's job journal ("" before the first
+// append).
+func journalBytes(t *testing.T, dir string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, "jobs.jsonl"))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestSubmitRejectsInvalidSpecBeforeJournal: a simulate or sweep job
+// whose Config fails Config.Validate, or a sweep with a non-finite or
+// non-positive rate, is refused by Submit and by POST /jobs (400) and
+// never reaches the journal.
+func TestSubmitRejectsInvalidSpecBeforeJournal(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestServer(t, Config{Dir: dir})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	before := journalBytes(t, dir)
+
+	invalid := quickConfig()
+	invalid.ChipletW = 2 // below the 3x3 minimum
+	good := quickConfig()
+	bad := []JobSpec{
+		{Type: JobSimulate, Config: &invalid},
+		{Type: JobSweep, Config: &invalid, Rates: []float64{0.1}},
+		{Type: JobSweep, Config: &good, Rates: []float64{0.1, math.NaN()}},
+		{Type: JobSweep, Config: &good, Rates: []float64{-0.1}},
+		{Type: JobSweep, Config: &good, Rates: []float64{0}},
+		{Type: JobSweep, Config: &good, Rates: []float64{math.Inf(1)}},
+	}
+	for i, spec := range bad {
+		if _, err := s.Submit(spec); err == nil {
+			t.Errorf("spec %d: Submit accepted an invalid %s job", i, spec.Type)
+		}
+	}
+	// NaN and Inf have no JSON encoding; the rest go over HTTP too.
+	for i, spec := range []JobSpec{bad[0], bad[1], bad[3], bad[4]} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(mustJSON(t, spec)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("spec %d: POST /jobs = %d, want 400", i, resp.StatusCode)
+		}
+	}
+	if after := journalBytes(t, dir); after != before {
+		t.Errorf("rejected specs reached the journal:\n%s", after[len(before):])
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Errorf("rejected specs created %d jobs", len(jobs))
+	}
+}
+
+// TestPostJobsBodyLimit: a body one byte over maxJobSpecBytes is refused
+// with 413 before it is decoded into a job; a body exactly at the limit
+// is accepted.
+func TestPostJobsBodyLimit(t *testing.T) {
+	s := openTestServer(t, Config{Dir: t.TempDir()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	cfg := quickConfig()
+	spec := mustJSON(t, JobSpec{Type: JobSimulate, Config: &cfg})
+	padded := func(n int) []byte {
+		return append(append([]byte(nil), spec...), bytes.Repeat([]byte(" "), n-len(spec))...)
+	}
+	post := func(body []byte) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	if code := post(padded(maxJobSpecBytes + 1)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body = %d, want 413", code)
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Fatalf("oversized body created %d jobs", len(jobs))
+	}
+	if code := post(padded(maxJobSpecBytes)); code != http.StatusAccepted {
+		t.Errorf("body at the limit = %d, want 202", code)
+	}
+}
+
 func TestSimulateJobMatchesDirectRun(t *testing.T) {
 	cfg := quickConfig()
-	direct, err := chipletnet.Run(cfg)
+	direct, err := chipletnet.Run(context.Background(), cfg, chipletnet.RunControl{})
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}
@@ -250,7 +343,7 @@ func TestJobDeadlineFails(t *testing.T) {
 
 func TestRetryExhaustion(t *testing.T) {
 	bad := quickConfig()
-	bad.Topology = chipletnet.Topology{Kind: "mesh", Dims: []int{7}} // build-time error
+	bad.CrossLinkFaultFraction = 0.1 // valid Config, but the flat mesh cannot Build with faults
 	s := openTestServer(t, Config{Dir: t.TempDir(), Retries: 2})
 	job, err := s.Submit(JobSpec{Type: JobSimulate, Config: &bad})
 	if err != nil {
@@ -305,7 +398,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 // it to a result bit-identical to an uninterrupted run.
 func TestDrainRequeuesAndResumesBitIdentical(t *testing.T) {
 	cfg := longConfig()
-	direct, err := chipletnet.Run(cfg)
+	direct, err := chipletnet.Run(context.Background(), cfg, chipletnet.RunControl{})
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}

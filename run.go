@@ -37,24 +37,24 @@ const (
 	// EngineIslands is the parallel-islands engine: the fabric is
 	// partitioned into contiguous-chiplet islands stepped on worker
 	// goroutines with a deterministic boundary exchange per cycle.
-	// IslandCount sets the partition size.
+	// SetEngine's "islands:K" sets the partition size.
 	EngineIslands Engine = "islands"
 )
 
-// UseEngine selects the cycle engine for every subsequently built
-// System. This is deliberately a package variable rather than a Config
-// field: Config is embedded verbatim in checkpoint files, and the
-// engine choice must not leak into them (snapshots are
+// useEngine selects the cycle engine for every subsequently built
+// System; SetEngine installs it. This is deliberately a package variable
+// rather than a Config field: Config is embedded verbatim in checkpoint
+// files, and the engine choice must not leak into them (snapshots are
 // engine-independent — a checkpoint taken under one engine resumes
 // under any other).
-var UseEngine = EngineActive
+var useEngine = EngineActive
 
-// IslandCount is the island count K for EngineIslands; <= 0 means one
+// islandCount is the island count K for EngineIslands; <= 0 means one
 // island per available CPU (GOMAXPROCS). K is clamped to the chiplet
-// count at Build. RunMany divides its campaign worker budget by the
-// effective K so intra-run and campaign-level parallelism share one
-// CPU budget instead of oversubscribing.
-var IslandCount int
+// count at Build. RunBatch divides its worker budget by the effective K
+// so intra-run and batch-level parallelism share one CPU budget instead
+// of oversubscribing.
+var islandCount int
 
 // ParseEngine parses an -engine flag value: "active", "reference",
 // "islands", or "islands:K" for an explicit island count.
@@ -78,21 +78,22 @@ func ParseEngine(s string) (Engine, int, error) {
 }
 
 // SetEngine parses an -engine flag value and installs it as the
-// process-wide engine selection (UseEngine, IslandCount).
+// process-wide engine selection for every subsequently built System.
+// It is the one way to choose an engine.
 func SetEngine(s string) error {
 	e, k, err := ParseEngine(s)
 	if err != nil {
 		return err
 	}
-	UseEngine = e
-	IslandCount = k
+	useEngine = e
+	islandCount = k
 	return nil
 }
 
 // effectiveIslands returns the island count EngineIslands will request
 // at Build under the current settings.
 func effectiveIslands() int {
-	if k := IslandCount; k > 0 {
+	if k := islandCount; k > 0 {
 		return k
 	}
 	return runtime.GOMAXPROCS(0)
@@ -179,8 +180,8 @@ func Build(cfg Config) (*System, error) {
 	sys.Fabric.SafeUnsafe = cfg.Routing == RoutingSafeUnsafe
 	sys.Fabric.OffChipVAExtra = cfg.OffChipVAExtra
 	sys.Fabric.DeadlockThreshold = cfg.DeadlockThreshold
-	sys.Fabric.UseReference = UseEngine == EngineReference
-	if UseEngine == EngineIslands {
+	sys.Fabric.UseReference = useEngine == EngineReference
+	if useEngine == EngineIslands {
 		chipletOf := make([]int, len(sys.Nodes))
 		for i, n := range sys.Nodes {
 			chipletOf[i] = n.Chiplet
@@ -222,9 +223,9 @@ type Result struct {
 	// the network when the simulation stopped.
 	Drained       bool
 	InFlightAtEnd int
-	// TimedOut reports that the run was aborted by RunControl.Deadline;
-	// DeadlockReport then holds the diagnostic snapshot of where traffic
-	// was at the abort.
+	// TimedOut reports that the run was aborted because its context was
+	// done (canceled or past its deadline); DeadlockReport then holds the
+	// diagnostic snapshot of where traffic was at the abort.
 	TimedOut bool `json:",omitempty"`
 	// FaultEvents is the fault event log and FaultStats the injection and
 	// recovery summary; both nil unless fault injection was configured.
@@ -253,43 +254,62 @@ func (r Result) Saturated() bool {
 	return r.AcceptedFlitsPerNodeCycle < 0.90*offered
 }
 
-// Run builds and simulates cfg and returns the measured statistics.
-func Run(cfg Config) (Result, error) {
+// Run builds cfg and simulates it under ctx and ctrl, returning the
+// measured statistics. ctx is observed at cycle boundaries only, so it
+// never perturbs simulated state: a run that completes before ctx is
+// done is bit-identical to Build + Simulate. When ctx is done the run
+// stops at the next cycle boundary and returns an error wrapping both
+// ErrCanceled and ctx.Err(), alongside the partial Result with TimedOut
+// and DeadlockReport set.
+func Run(ctx context.Context, cfg Config, ctrl RunControl) (Result, error) {
 	sys, err := Build(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	return sys.Simulate()
+	return sys.simulate(ctx, ctrl)
 }
 
-// Simulate runs the configured workload on a built system. A System must
-// not be simulated twice; rebuild for fresh runs.
+// Simulate runs the configured workload on a built system to completion:
+// Run's uncontrolled case (background context, zero RunControl) on an
+// already-built System. A System must not be simulated twice; rebuild
+// for fresh runs.
 func (s *System) Simulate() (Result, error) {
-	return s.SimulateControlled(RunControl{})
+	return s.simulate(context.Background(), RunControl{})
 }
 
-// ErrCanceled: the run was aborted because its context was canceled.
-// Configurations not yet started when the cancellation arrived are
-// skipped; a running one stops at the next cycle boundary (its partial
-// Result carries the usual diagnostic snapshot). Test with errors.Is.
+// ErrCanceled: the run was aborted because its context was done. Errors
+// wrapping it also wrap the context's own error (context.Canceled or
+// context.DeadlineExceeded). Test with errors.Is.
 var ErrCanceled = errors.New("chipletnet: run canceled")
 
-// runMany is the shared parallel executor: it simulates every
-// configuration on a GOMAXPROCS-bounded worker pool and returns
-// per-configuration results and errors in input order (a panic in one
-// run is recovered into that run's error). Each configuration gets its
-// own Build, so no mutable state is shared between workers; output
-// ordering is positional and therefore schedule-independent.
+// canceled is the error of a run cut short by its done context.
+func canceled(ctx context.Context) error {
+	return fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
+}
+
+// RunBatch builds and simulates every configuration under ctx on a
+// GOMAXPROCS-bounded worker pool and returns per-configuration results
+// and errors in input order: errs[i] is nil exactly when results[i] is
+// valid, regardless of scheduling, and a panic in one run is recovered
+// into that run's error. Each configuration gets its own Build, so no
+// mutable state is shared between workers. Callers that want one error
+// join and label errs themselves.
+//
+// Canceling ctx aborts the batch cleanly: configurations not yet started
+// are skipped and running ones stop at their next cycle boundary (see
+// Run); every affected configuration reports an error wrapping
+// ErrCanceled, and completed results are kept.
 //
 // The pool is island-aware: under EngineIslands each run brings its own
-// K worker goroutines, so the campaign budget shrinks to
-// GOMAXPROCS / K concurrent runs — campaign-level and intra-run
-// parallelism share one CPU budget instead of oversubscribing.
-func runMany(ctx context.Context, cfgs []Config) ([]Result, []error) {
+// K worker goroutines, so the batch budget shrinks to GOMAXPROCS / K
+// concurrent runs. This is the parallelism entry point for experiment
+// campaigns — internal packages must not spawn goroutines (see
+// cmd/chipletlint), so they hand their job lists here.
+func RunBatch(ctx context.Context, cfgs []Config) ([]Result, []error) {
 	results := make([]Result, len(cfgs))
 	errs := make([]error, len(cfgs))
 	workers := runtime.GOMAXPROCS(0)
-	if UseEngine == EngineIslands {
+	if useEngine == EngineIslands {
 		if workers /= effectiveIslands(); workers < 1 {
 			workers = 1
 		}
@@ -307,103 +327,15 @@ func runMany(ctx context.Context, cfgs []Config) ([]Result, []error) {
 					errs[i] = fmt.Errorf("panic: %v", p)
 				}
 			}()
-			results[i], errs[i] = runOne(ctx, cfgs[i])
+			if ctx.Err() != nil {
+				errs[i] = canceled(ctx)
+				return
+			}
+			results[i], errs[i] = Run(ctx, cfgs[i], RunControl{})
 		}(i)
 	}
 	wg.Wait()
 	return results, errs
-}
-
-// runOne executes one configuration under ctx. Cancellation is observed
-// at cycle boundaries only (through RunControl.Deadline), so it never
-// perturbs simulated state: a run that completes before the cancel is
-// indistinguishable from an uncontrolled one.
-func runOne(ctx context.Context, cfg Config) (Result, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return Run(cfg)
-	}
-	if ctx.Err() != nil {
-		return Result{}, fmt.Errorf("%w: not started: %v", ErrCanceled, ctx.Err())
-	}
-	sys, err := Build(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := sys.SimulateControlled(RunControl{Deadline: ctx.Done()})
-	if errors.Is(err, ErrTimeout) && ctx.Err() != nil {
-		// The deadline channel was the context's: report the abort as a
-		// cancellation, keeping the diagnostic partial Result.
-		err = fmt.Errorf("%w: %v", ErrCanceled, ctx.Err())
-	}
-	return res, err
-}
-
-// RunMany builds and simulates every configuration, in parallel across
-// CPUs, and returns the results in input order: results[i] belongs to
-// cfgs[i] regardless of scheduling. On failure the partial results are
-// returned alongside the joined per-configuration errors; results[i] is
-// valid exactly when cfgs[i]'s run produced no error. This is the
-// parallelism entry point for experiment campaigns — internal packages
-// must not spawn goroutines (see cmd/chipletlint), so they hand their
-// job lists here.
-func RunMany(cfgs []Config) ([]Result, error) {
-	return RunManyCtx(context.Background(), cfgs)
-}
-
-// RunManyCtx is RunMany under a context: canceling ctx aborts the whole
-// batch cleanly — runs not yet started are skipped, running ones stop at
-// their next cycle boundary — and every affected configuration reports
-// an error wrapping ErrCanceled. This is how the campaign daemon's
-// per-job deadlines and graceful drain reach into a worker pool
-// mid-batch without losing the completed results.
-func RunManyCtx(ctx context.Context, cfgs []Config) ([]Result, error) {
-	results, errs := runMany(ctx, cfgs)
-	for i, e := range errs {
-		if e != nil {
-			errs[i] = fmt.Errorf("chipletnet: config %d: %w", i, e)
-		}
-	}
-	return results, errors.Join(errs...)
-}
-
-// RunEach is RunMany with per-configuration error reporting instead of a
-// joined error: errs[i] is nil exactly when results[i] is valid, letting
-// callers attach their own labels to failures.
-func RunEach(cfgs []Config) (results []Result, errs []error) {
-	return runMany(context.Background(), cfgs)
-}
-
-// RunEachCtx is RunEach under a context; see RunManyCtx for the
-// cancellation semantics.
-func RunEachCtx(ctx context.Context, cfgs []Config) (results []Result, errs []error) {
-	return runMany(ctx, cfgs)
-}
-
-// Sweep runs cfg at every injection rate, in parallel across CPUs, and
-// returns the results in rate order. A panic in one run is recovered into
-// that rate's error instead of crashing the sweep. On failure the partial
-// results are returned alongside the joined per-rate errors: results[i]
-// is valid exactly when no error mentions rates[i] (a failed rate leaves
-// its zero Result).
-func Sweep(cfg Config, rates []float64) ([]Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfgs := make([]Config, len(rates))
-	for i, r := range rates {
-		cfgs[i] = cfg
-		cfgs[i].InjectionRate = r
-	}
-	results, errs := runMany(context.Background(), cfgs)
-	for i, e := range errs {
-		if e != nil {
-			errs[i] = fmt.Errorf("chipletnet: rate %g: %w", rates[i], e)
-		}
-	}
-	if err := errors.Join(errs...); err != nil {
-		return results, err
-	}
-	return results, nil
 }
 
 // SaturationRate binary-searches the maximum injection rate (flits/node/
@@ -439,7 +371,7 @@ func SaturationRate(cfg Config, lo, hi, tol float64) (float64, error) {
 			sys.Cfg = c
 			res, err = sys.Simulate()
 		} else {
-			res, err = Run(c)
+			res, err = Run(context.Background(), c, RunControl{})
 		}
 		if err != nil {
 			return false, err

@@ -1,6 +1,7 @@
 package chipletnet
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -77,7 +78,7 @@ func TestSaturationRateWarmReuseMatchesColdRuns(t *testing.T) {
 	stable := func(rate float64) bool {
 		c := cfg
 		c.InjectionRate = rate
-		res, err := Run(c)
+		res, err := Run(context.Background(), c, RunControl{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +131,7 @@ func TestSaturationRateColdPathWithKillSchedule(t *testing.T) {
 	// The estimate must itself be stable under the same fault schedule.
 	probe := cfg
 	probe.InjectionRate = sat
-	res, err := Run(probe)
+	res, err := Run(context.Background(), probe, RunControl{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package chipletnet
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"reflect"
@@ -20,11 +21,8 @@ func recordTrace(t *testing.T, cfg Config, path string) Result {
 	t.Helper()
 	var res Result
 	withEngine(engineSetup{"reference", EngineReference, 0}, func() {
-		sys, err := Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res, err = sys.SimulateControlled(RunControl{TracePath: path}); err != nil {
+		var err error
+		if res, err = Run(context.Background(), cfg, RunControl{TracePath: path}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -95,16 +93,12 @@ func TestWorkloadReplayEngineEquivalence(t *testing.T) {
 		t.Run(cross.name, func(t *testing.T) {
 			ckpt := filepath.Join(t.TempDir(), "replay.ckpt")
 			withEngine(cross.interrupt, func() {
-				sys, err := Build(replay)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := sys.SimulateControlled(RunControl{CheckpointPath: ckpt, InterruptAtCycle: 150}); !errors.Is(err, ErrInterrupted) {
+				if _, err := Run(context.Background(), replay, RunControl{CheckpointPath: ckpt, InterruptAtCycle: 150}); !errors.Is(err, ErrInterrupted) {
 					t.Fatalf("got %v, want ErrInterrupted", err)
 				}
 			})
 			withEngine(cross.resume, func() {
-				res, err := ResumeRun(ckpt, RunControl{})
+				res, err := Resume(context.Background(), ckpt, RunControl{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -171,7 +165,7 @@ func TestWorkloadAIScaleOutEngineEquivalence(t *testing.T) {
 // no recording on resume, and no recording under another tracer.
 func TestWorkloadRecordControlRejections(t *testing.T) {
 	cfg := equivConfig(HypercubeTopology(3))
-	if _, err := ResumeRun(filepath.Join(t.TempDir(), "none.ckpt"), RunControl{TracePath: "x.trace"}); err == nil {
+	if _, err := Resume(context.Background(), filepath.Join(t.TempDir(), "none.ckpt"), RunControl{TracePath: "x.trace"}); err == nil {
 		t.Error("recording on resume accepted")
 	}
 	sys, err := Build(cfg)
@@ -179,7 +173,7 @@ func TestWorkloadRecordControlRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Topo.Fabric.Tracer = &trace.Recorder{}
-	if _, err := sys.SimulateControlled(RunControl{TracePath: filepath.Join(t.TempDir(), "t.trace")}); err == nil {
+	if _, err := sys.simulate(context.Background(), RunControl{TracePath: filepath.Join(t.TempDir(), "t.trace")}); err == nil {
 		t.Error("recording under another tracer accepted")
 	}
 }
