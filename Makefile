@@ -1,6 +1,10 @@
 GO ?= go
 
-.PHONY: build test test-fault test-checkpoint test-equiv test-dse test-daemon test-coordinator test-workload bench-json bench-dse-json bench-compiled bench-islands bench-workload vet lint check figures
+.PHONY: fmt build test test-fault test-checkpoint test-equiv test-dse test-daemon test-coordinator test-workload bench-json bench-dse-json bench-compiled bench-islands bench-workload vet lint check figures
+
+# fmt fails when any Go file is not gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
@@ -59,7 +63,8 @@ test-equiv:
 
 # test-dse runs the design-space-exploration matrix under the race
 # detector — enumeration/pruning determinism, the verify pre-flight
-# rejections, cache round-trip and crash tolerance, the cold-then-warm
+# rejections, the parallel pre-flight's plan identity across GOMAXPROCS
+# 1 and 4, cache round-trip and crash tolerance, the cold-then-warm
 # byte-identical-report gate, the chipletdse flag parsers — plus the
 # Pareto-frontier invariant fuzz seed corpus.
 test-dse:
@@ -71,12 +76,12 @@ test-dse:
 # classification, HTTP endpoints), the backoff policy, internal/jsonl
 # (the self-healing loader, the jsonl.Log append/compact/close round
 # trips with concurrent appends under -race, and WriteAtomic's failure
-# path), the sharded-cache merge gate, batch-cancellation through
-# the module root, and the chipletd process-level acceptance tests —
+# path), the sharded-cache merge gate, batch cancellation and the shared
+# worker pool (RunBatch, VerifyBatch) through the module root, and the chipletd process-level acceptance tests —
 # SIGKILL kill-resume and SIGTERM drain against a real daemon.
 test-daemon:
 	$(GO) test -race ./internal/service/... ./internal/jsonl ./cmd/chipletd
-	$(GO) test -race -run 'RunBatch|RunContext' .
+	$(GO) test -race -run 'RunBatch|RunContext|VerifyBatch' .
 	$(GO) test -race -run 'Shard|Merge|Quarantine' ./internal/dse
 
 # test-coordinator runs the multi-host fleet matrix under the race
@@ -138,16 +143,17 @@ bench-islands:
 bench-workload:
 	$(GO) run ./cmd/chipletbench -suite workload -count 2 -out BENCH_workload.json
 
-# check is the pre-PR gate: go vet, build, the full test suite under the
-# race detector (including the -race equivalence matrices of test-equiv),
-# the determinism linter over ./..., and the benchmark gates (the
-# active-set engine must hold its speedup over the reference stepper, and
-# both suites their allocs/op against the committed baselines).
-check: vet build test-fault test-checkpoint test-equiv test-dse test-daemon test-coordinator test-workload
+# check is the pre-PR gate: gofmt, go vet, build, the full test suite
+# under the race detector (including the -race equivalence matrices of
+# test-equiv), the determinism linter over ./..., and the benchmark gates
+# (the active-set engine must hold its speedup over the reference stepper,
+# and every suite its allocs/op against the committed baselines).
+check: fmt vet build test-fault test-checkpoint test-equiv test-dse test-daemon test-coordinator test-workload
 	$(GO) test -race -timeout 20m ./...
 	$(GO) run ./cmd/chipletlint ./...
 	$(GO) run ./cmd/chipletbench -check BENCH_hotpath.json
 	$(GO) run ./cmd/chipletbench -suite compiled -check BENCH_compiled.json
+	$(GO) run ./cmd/chipletbench -suite dse -count 2 -check BENCH_dse.json
 	$(GO) run ./cmd/chipletbench -suite islands -count 2 -check BENCH_islands.json
 	$(GO) run ./cmd/chipletbench -suite workload -count 2 -check BENCH_workload.json
 

@@ -631,7 +631,9 @@ func main() {
 		note := "hot-path benchmark baseline; regenerate with `make bench-json`"
 		switch *suite {
 		case "dse":
-			note = "design-space-exploration benchmark baseline; regenerate with `make bench-dse-json`"
+			note = fmt.Sprintf("design-space-exploration benchmark baseline, measured on %d CPU(s) "+
+				"(NewPlan verifies routing structures on GOMAXPROCS workers); regenerate with "+
+				"`make bench-dse-json`", runtime.NumCPU())
 		case "compiled":
 			note = "compiled routing-table benchmark baseline; regenerate with `make bench-compiled`"
 		case "islands":

@@ -283,7 +283,9 @@ type Plan struct {
 
 // preflightOptions bounds the static analysis. Design-space systems are
 // small (tens of chiplets), so the sampled analysis is effectively
-// exhaustive while staying cheap per distinct routing structure.
+// exhaustive while staying cheap per distinct routing structure: NewPlan
+// certifies each structure once, and the structures of one plan in
+// parallel through chipletnet.VerifyBatch.
 var preflightOptions = verify.Options{MaxDests: 16, MaxSources: 8}
 
 // routingKey identifies the routing-relevant part of a config: verify
@@ -300,6 +302,12 @@ func routingKey(cfg chipletnet.Config) string {
 // verifier's witness), and partitions the survivors into cache hits and
 // pending evaluations. NewPlan itself runs no simulation. The cache may
 // be a single-file Cache or a ShardedCache.
+//
+// Candidates that share a routingKey share one verdict: the first
+// candidate of each distinct routing structure is verified, all of them
+// in one chipletnet.VerifyBatch call on GOMAXPROCS workers. The plan is
+// then assembled in candidate order, so it does not depend on the worker
+// count.
 func NewPlan(s Space, p Params, cache Store) (*Plan, error) {
 	p = p.normalize()
 	cands, pruned, err := s.Enumerate(p)
@@ -312,26 +320,40 @@ func NewPlan(s Space, p Params, cache Store) (*Plan, error) {
 	}
 	plan := &Plan{Space: norm, Params: p, Pruned: pruned}
 
+	// One representative config per routing structure, in first-seen
+	// order; slot[i] is candidate i's structure.
+	slot := make([]int, len(cands))
+	first := map[string]int{}
+	var reps []chipletnet.Config
+	for i, cand := range cands {
+		rk := routingKey(cand.Cfg)
+		k, ok := first[rk]
+		if !ok {
+			k = len(reps)
+			first[rk] = k
+			reps = append(reps, cand.Cfg)
+		}
+		slot[i] = k
+	}
+	reports, errs := chipletnet.VerifyBatch(context.TODO(), reps, preflightOptions)
+
 	type verdict struct {
 		reason string // "" when the pre-flight certified the structure
 		cert   string // certificate content address (also for failures)
 	}
-	verdicts := map[string]verdict{} // per routingKey
-	for _, cand := range cands {
-		rk := routingKey(cand.Cfg)
-		v, seen := verdicts[rk]
-		if !seen {
-			rep, err := chipletnet.VerifyConfig(cand.Cfg, preflightOptions)
-			switch {
-			case err != nil:
-				v = verdict{reason: fmt.Sprintf("build failed: %v", err)}
-			case rep.Err() != nil:
-				v = verdict{reason: rep.Err().Error(), cert: rep.Certificate().Hash()}
-			default:
-				v = verdict{cert: rep.Certificate().Hash()}
-			}
-			verdicts[rk] = v
+	verdicts := make([]verdict, len(reps))
+	for k, rep := range reports {
+		switch {
+		case errs[k] != nil:
+			verdicts[k] = verdict{reason: fmt.Sprintf("build failed: %v", errs[k])}
+		case rep.Err() != nil:
+			verdicts[k] = verdict{reason: rep.Err().Error(), cert: rep.Certificate().Hash()}
+		default:
+			verdicts[k] = verdict{cert: rep.Certificate().Hash()}
 		}
+	}
+	for i, cand := range cands {
+		v := verdicts[slot[i]]
 		if v.reason != "" {
 			plan.Rejected = append(plan.Rejected, Rejected{Name: cand.Name, Reason: v.reason, Cert: v.cert})
 			continue

@@ -127,9 +127,9 @@ func (r *Report) Certificate() *Certificate {
 				Witnesses: livelock,
 			},
 			{
-				Name:   "vc-discipline",
-				Proved: len(r.VCViolations) == 0,
-				Basis: "candidate masks and escape VCs within the configured range, escape VC class monotone within each chiplet (Theorem 1)",
+				Name:      "vc-discipline",
+				Proved:    len(r.VCViolations) == 0,
+				Basis:     "candidate masks and escape VCs within the configured range, escape VC class monotone within each chiplet (Theorem 1)",
 				Witnesses: append([]string(nil), r.VCViolations...),
 			},
 		},

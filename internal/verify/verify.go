@@ -152,14 +152,11 @@ func Run(sys *topology.System, opt Options) (rep *Report) {
 		dests:   sampleInts(sys.Cores, opt.MaxDests),
 		sources: sampleInts(sys.Cores, opt.MaxSources),
 		tags:    tagSet(sys),
-		c1:      make(map[Channel]bool),
-		adj:     make(map[Channel][]Channel),
-		seen:    make(map[[2]Channel]bool),
-		info:    make(map[[2]Channel][2]int),
 	}
 	for _, r := range sys.Fabric.Routers {
 		a.routers[r.Node] = r
 	}
+	a.buildChannels()
 	rep.EscapeRequired = rt.EscapeRequired()
 	rep.Dests, rep.Tags = len(a.dests), len(a.tags)
 
@@ -179,8 +176,8 @@ func Run(sys *topology.System, opt Options) (rep *Report) {
 			}
 		}
 	}
-	rep.EscapeChannels = len(a.c1)
-	rep.DepEdges = len(a.seen)
+	rep.EscapeChannels = a.c1Count
+	rep.DepEdges = len(a.deps)
 	a.findCycle()
 	a.finalize()
 	return rep
@@ -196,23 +193,170 @@ type analyzer struct {
 
 	dests, sources, tags []int
 
+	// Channels have dense ids, built once per Run: node v's distinct
+	// out-links are [linkStart[v], linkStart[v+1]), link l leads from
+	// linkFrom[l] to linkTo[l], and channel (l, vc) is l*vcSpan + vc.
+	// A channel outside that table (a VC beyond vcSpan, or a next hop that
+	// is no neighbor, from a defective routing function) gets an id past
+	// dense through extra, so every channel the analysis meets has one.
+	vcSpan           int
+	linkStart        []int32
+	linkFrom, linkTo []int32
+	dense            int
+	extra            map[Channel]int32
+	extraChans       []Channel
+
 	// c1 is the escape sub-network: every channel some escape step targets.
-	c1 map[Channel]bool
-	// adj is the CDG adjacency; order keeps its keys in first-insertion
-	// order so cycle detection is deterministic.
-	adj   map[Channel][]Channel
-	order []Channel
-	seen  map[[2]Channel]bool
-	info  map[[2]Channel][2]int // edge -> first inducing (dst, tag)
+	c1      []bool
+	c1Count int
+	// deps holds the CDG's edges, each with its first inducing (dst, tag),
+	// chained per source channel c in insertion order from first[c] to
+	// last[c] (-1 = none); order lists the source channels in
+	// first-insertion order so cycle detection is deterministic.
+	deps        []dep
+	first, last []int32
+	order       []int32
+
+	// esc memoizes EscapeStep per round: esc[v] is valid while
+	// esc[v].epoch == epoch, and every round starts a new epoch.
+	epoch uint32
+	esc   []escMemo
 
 	// per-round scratch
+	queue   []int
 	visited []bool
 	mark    []bool
-	radj    [][]int // reverse candidate adjacency (reachability)
-	aadj    [][]int // forward adaptive-only adjacency (livelock)
-	acolor  []int8
-	adepth  []int32
-	cands   []router.Candidate
+	// The round's candidate edges as (from, to) pairs, then grouped by
+	// from (see csr): reverse edges for reachability and forward
+	// adaptive-only edges for livelock.
+	redges, rstart, radj []int32
+	aedges, astart, aadj []int32
+	acolor               []int8
+	adepth               []int32
+	stack, cycle         []int
+	cands                []router.Candidate
+}
+
+// dep is one CDG edge out of a channel: the target channel id, the first
+// (destination, tag) round that induced it, and the source channel's next
+// edge (-1 = last).
+type dep struct{ to, dst, tag, next int32 }
+
+// escMemo is one memoized EscapeStep result; ch is the id of the channel
+// (v, next, vc) it targets.
+type escMemo struct {
+	epoch    uint32
+	ok       bool
+	next, vc int
+	ch       int32
+}
+
+// buildChannels assigns the dense channel ids: one block of vcSpan ids
+// per distinct (node, neighbor) out-link, in node and port order.
+func (a *analyzer) buildChannels() {
+	n := len(a.sys.Nodes)
+	a.vcSpan = a.sys.LP.VCs
+	for _, r := range a.routers {
+		for _, o := range r.Out {
+			if o.Link != nil && len(o.Credits) > a.vcSpan {
+				a.vcSpan = len(o.Credits)
+			}
+		}
+	}
+	a.linkStart = make([]int32, n+1)
+	for v, r := range a.routers {
+		a.linkStart[v+1] = a.linkStart[v]
+		for _, o := range r.Out {
+			if o.Link != nil && a.link(v, o.Link.Dst.Node) < 0 {
+				a.linkFrom = append(a.linkFrom, int32(v))
+				a.linkTo = append(a.linkTo, int32(o.Link.Dst.Node))
+				a.linkStart[v+1]++
+			}
+		}
+	}
+	a.dense = len(a.linkTo) * a.vcSpan
+	a.c1 = make([]bool, a.dense)
+	a.first = make([]int32, a.dense)
+	a.last = make([]int32, a.dense)
+	for i := range a.first {
+		a.first[i], a.last[i] = -1, -1
+	}
+	a.esc = make([]escMemo, n)
+}
+
+// link returns the index of the out-link from v to node to, or -1. Node
+// degrees are small, so a linear scan beats any index.
+func (a *analyzer) link(v, to int) int {
+	for l := a.linkStart[v]; l < a.linkStart[v+1]; l++ {
+		if int(a.linkTo[l]) == to {
+			return int(l)
+		}
+	}
+	return -1
+}
+
+// chanID returns the id of channel (from, to, vc).
+func (a *analyzer) chanID(from, to, vc int) int32 {
+	if vc >= 0 && vc < a.vcSpan {
+		if l := a.link(from, to); l >= 0 {
+			return int32(l*a.vcSpan + vc)
+		}
+	}
+	ch := Channel{from, to, vc}
+	if id, ok := a.extra[ch]; ok {
+		return id
+	}
+	if a.extra == nil {
+		a.extra = make(map[Channel]int32)
+	}
+	id := int32(a.dense + len(a.extraChans))
+	a.extra[ch] = id
+	a.extraChans = append(a.extraChans, ch)
+	a.c1 = append(a.c1, false)
+	a.first = append(a.first, -1)
+	a.last = append(a.last, -1)
+	return id
+}
+
+// channel maps an id back to its channel.
+func (a *analyzer) channel(id int32) Channel {
+	if int(id) >= a.dense {
+		return a.extraChans[int(id)-a.dense]
+	}
+	l := int(id) / a.vcSpan
+	return Channel{From: int(a.linkFrom[l]), To: int(a.linkTo[l]), VC: int(id) % a.vcSpan}
+}
+
+// newRound starts a (destination, tag) round: it invalidates the escape
+// memo, which holds only within one round.
+func (a *analyzer) newRound() {
+	if a.epoch++; a.epoch == 0 {
+		clear(a.esc)
+		a.epoch = 1
+	}
+}
+
+// escape returns the memoized EscapeStep(v, p) of the current round. For a
+// fixed (destination, tag) the escape step is a pure function of the node
+// (the EscapeAnalyzer contract), so only the first call per node asks the
+// routing function.
+func (a *analyzer) escape(v int, p *packet.Packet) *escMemo {
+	e := &a.esc[v]
+	if e.epoch != a.epoch {
+		next, vc, ok := a.rt.EscapeStep(v, p)
+		*e = escMemo{epoch: a.epoch, ok: ok, next: next, vc: vc}
+		if ok {
+			e.ch = a.chanID(v, next, vc)
+		}
+	}
+	return e
+}
+
+func (a *analyzer) markC1(ch int32) {
+	if !a.c1[ch] {
+		a.c1[ch] = true
+		a.c1Count++
+	}
 }
 
 // round runs one (destination, tag) analysis round: a BFS over the
@@ -224,17 +368,15 @@ func (a *analyzer) round(dst, tag int, emit bool) {
 	if a.visited == nil {
 		a.visited = make([]bool, n)
 		a.mark = make([]bool, n)
-		a.radj = make([][]int, n)
-		a.aadj = make([][]int, n)
 		a.acolor = make([]int8, n)
 		a.adepth = make([]int32, n)
 	}
 	for i := 0; i < n; i++ {
 		a.visited[i] = false
-		a.radj[i] = a.radj[i][:0]
-		a.aadj[i] = a.aadj[i][:0]
 	}
-	queue := make([]int, 0, n)
+	a.redges, a.aedges = a.redges[:0], a.aedges[:0]
+	a.newRound()
+	queue := a.queue[:0]
 	for _, src := range a.sys.Cores {
 		if !a.visited[src] {
 			a.visited[src] = true
@@ -265,13 +407,12 @@ func (a *analyzer) round(dst, tag int, emit bool) {
 			if a.opt.Sink != nil {
 				a.opt.Sink.State(v, dst, tag, a.cands, nsort)
 			}
-			enext, evc, eok := a.rt.EscapeStep(v, p)
-			if eok {
-				if evc < 0 || evc >= vcs {
+			if e := a.escape(v, p); e.ok {
+				if e.vc < 0 || e.vc >= vcs {
 					a.addVCViolation(fmt.Sprintf("escape VC %d outside [0,%d) at %v",
-						evc, vcs, StateRef{v, dst, tag}))
+						e.vc, vcs, StateRef{v, dst, tag}))
 				} else {
-					a.c1[Channel{v, enext, evc}] = true
+					a.markC1(e.ch)
 				}
 			} else if a.rep.EscapeRequired {
 				a.addMissingEscape(StateRef{v, dst, tag})
@@ -299,22 +440,22 @@ func (a *analyzer) round(dst, tag int, emit bool) {
 				// Extended CDG: the packet can occupy any candidate
 				// channel; from an escape channel its next request is
 				// its escape continuation at the far node.
-				if nn, nvc, ok := a.rt.EscapeStep(to, p); ok && nvc >= 0 && nvc < vcs {
-					tgt := Channel{to, nn, nvc}
+				if e := a.escape(to, p); e.ok && e.vc >= 0 && e.vc < vcs {
+					base := int32(a.link(v, to) * a.vcSpan)
 					for vc := 0; vc < len(o.Credits); vc++ {
 						if mask&(1<<uint(vc)) == 0 {
 							continue
 						}
-						if ch := (Channel{v, to, vc}); a.c1[ch] {
-							a.addDep(ch, tgt, dst, tag)
+						if ch := base + int32(vc); a.c1[ch] {
+							a.addDep(ch, e.ch, dst, tag)
 						}
 					}
 				}
 			}
 			if !emit {
-				a.radj[to] = append(a.radj[to], v)
+				a.redges = append(a.redges, int32(to), int32(v))
 				if !c.Escape {
-					a.aadj[v] = append(a.aadj[v], to)
+					a.aedges = append(a.aedges, int32(v), int32(to))
 				}
 			}
 			if !a.visited[to] {
@@ -323,9 +464,12 @@ func (a *analyzer) round(dst, tag int, emit bool) {
 			}
 		}
 	}
+	a.queue = queue
 	if emit {
 		return
 	}
+	a.rstart, a.radj = csr(n, a.redges, a.rstart, a.radj)
+	a.astart, a.aadj = csr(n, a.aedges, a.astart, a.aadj)
 	a.checkReach(dst, tag)
 	a.checkLivelock(dst, tag)
 	if a.rep.EscapeRequired {
@@ -341,16 +485,17 @@ func (a *analyzer) checkReach(dst, tag int) {
 		a.mark[i] = false
 	}
 	a.mark[dst] = true
-	queue := make([]int, 0, n)
-	queue = append(queue, dst)
+	queue := append(a.queue[:0], dst)
 	for head := 0; head < len(queue); head++ {
-		for _, u := range a.radj[queue[head]] {
+		x := queue[head]
+		for _, u := range a.radj[a.rstart[x]:a.rstart[x+1]] {
 			if !a.mark[u] {
 				a.mark[u] = true
-				queue = append(queue, u)
+				queue = append(queue, int(u))
 			}
 		}
 	}
+	a.queue = queue
 	for _, src := range a.sys.Cores {
 		if src != dst && !a.mark[src] {
 			a.addUnreach(ReachFailure{Src: src, Dst: dst, Tag: tag,
@@ -373,48 +518,74 @@ func (a *analyzer) checkLivelock(dst, tag int) {
 		a.acolor[i] = 0
 		a.adepth[i] = 0
 	}
-	var stack []int
-	var cycle []int
-	var dfs func(v int) bool
-	dfs = func(v int) bool {
-		a.acolor[v] = 1
-		stack = append(stack, v)
-		best := int32(0)
-		for _, to := range a.aadj[v] {
-			switch a.acolor[to] {
-			case 1:
-				i := len(stack) - 1
-				for i > 0 && stack[i] != to {
-					i--
-				}
-				cycle = append(cycle, stack[i:]...)
-				return true
-			case 0:
-				if dfs(to) {
-					return true
-				}
-			}
-			if d := a.adepth[to] + 1; d > best {
-				best = d
-			}
-		}
-		stack = stack[:len(stack)-1]
-		a.acolor[v] = 2
-		a.adepth[v] = best
-		return false
-	}
+	a.stack, a.cycle = a.stack[:0], a.cycle[:0]
 	for v := 0; v < n; v++ {
-		if a.acolor[v] != 0 || len(a.aadj[v]) == 0 {
+		if a.acolor[v] != 0 || a.astart[v] == a.astart[v+1] {
 			continue
 		}
-		if dfs(v) {
-			a.addLivelock(LivelockCycle{Dst: dst, Tag: tag, Nodes: rotateMin(cycle)})
+		if a.livelockDFS(v) {
+			a.addLivelock(LivelockCycle{Dst: dst, Tag: tag, Nodes: rotateMin(a.cycle)})
 			return // one witness per round
 		}
 		if d := int(a.adepth[v]); d > a.rep.AdaptiveHopBound {
 			a.rep.AdaptiveHopBound = d
 		}
 	}
+}
+
+// livelockDFS colors the adaptive graph from v, recording each finished
+// node's longest adaptive path in adepth; on a back edge it stores the
+// cycle in a.cycle and reports true.
+func (a *analyzer) livelockDFS(v int) bool {
+	a.acolor[v] = 1
+	a.stack = append(a.stack, v)
+	best := int32(0)
+	for _, to := range a.aadj[a.astart[v]:a.astart[v+1]] {
+		switch a.acolor[to] {
+		case 1:
+			i := len(a.stack) - 1
+			for i > 0 && a.stack[i] != int(to) {
+				i--
+			}
+			a.cycle = append(a.cycle, a.stack[i:]...)
+			return true
+		case 0:
+			if a.livelockDFS(int(to)) {
+				return true
+			}
+		}
+		if d := a.adepth[to] + 1; d > best {
+			best = d
+		}
+	}
+	a.stack = a.stack[:len(a.stack)-1]
+	a.acolor[v] = 2
+	a.adepth[v] = best
+	return false
+}
+
+// csr groups the (from, to) pairs of edges by from, keeping insertion
+// order within each group: node v's targets become adj[start[v]:start[v+1]].
+// start and adj are reused scratch.
+func csr(n int, edges, start, adj []int32) ([]int32, []int32) {
+	start = append(start[:0], make([]int32, n+1)...)
+	for i := 0; i < len(edges); i += 2 {
+		start[edges[i]+1]++
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	adj = append(adj[:0], make([]int32, len(edges)/2)...)
+	for i := 0; i < len(edges); i += 2 {
+		from := edges[i]
+		adj[start[from]] = edges[i+1]
+		start[from]++
+	}
+	// The fill advanced each start[v] to its group's end, which is
+	// start[v+1] before the fill; shift back.
+	copy(start[1:], start[:n])
+	start[0] = 0
+	return start, adj
 }
 
 // rotateMin rotates a cycle in place so the smallest node id leads,
@@ -454,21 +625,21 @@ func (a *analyzer) checkEscapeWalk(dst, tag int, p *packet.Packet) {
 				done = true
 				break
 			}
-			next, vc, ok := a.rt.EscapeStep(v, p)
-			if !ok {
+			e := a.escape(v, p)
+			if !e.ok {
 				break
 			}
-			if checkVC && prevVC >= 0 && vc < prevVC {
+			if checkVC && prevVC >= 0 && e.vc < prevVC {
 				a.addVCViolation(fmt.Sprintf("escape VC class not monotone within chiplet: vc%d after vc%d at %v",
-					vc, prevVC, StateRef{v, dst, tag}))
+					e.vc, prevVC, StateRef{v, dst, tag}))
 				checkVC = false
 			}
-			if a.sys.Nodes[v].Chiplet != a.sys.Nodes[next].Chiplet {
+			if a.sys.Nodes[v].Chiplet != a.sys.Nodes[e.next].Chiplet {
 				prevVC = -1
 			} else {
-				prevVC = vc
+				prevVC = e.vc
 			}
-			v = next
+			v = e.next
 			steps++
 		}
 		if !done {
@@ -489,36 +660,35 @@ func (a *analyzer) checkEscapeWalk(dst, tag int, p *packet.Packet) {
 // acyclicity is the certifiable property.
 func (a *analyzer) emitWalkDeps(dst, tag int) {
 	p := &packet.Packet{Src: -1, Dst: dst, Tag: tag, Len: 1}
+	a.newRound()
 	bound := 4 * len(a.sys.Nodes)
 	for _, src := range a.sys.Cores {
 		if src == dst {
 			continue
 		}
 		v := src
-		var prev Channel
-		havePrev := false
+		prev := int32(-1)
 		steps, prevVC, checkVC := 0, -1, true
 		for step := 0; step <= bound && v != dst; step++ {
-			next, vc, ok := a.rt.EscapeStep(v, p)
-			if !ok {
+			e := a.escape(v, p)
+			if !e.ok {
 				break
 			}
-			if checkVC && prevVC >= 0 && vc < prevVC {
+			if checkVC && prevVC >= 0 && e.vc < prevVC {
 				a.addVCViolation(fmt.Sprintf("escape VC class not monotone within chiplet: vc%d after vc%d at %v",
-					vc, prevVC, StateRef{v, dst, tag}))
+					e.vc, prevVC, StateRef{v, dst, tag}))
 				checkVC = false
 			}
-			if a.sys.Nodes[v].Chiplet != a.sys.Nodes[next].Chiplet {
+			if a.sys.Nodes[v].Chiplet != a.sys.Nodes[e.next].Chiplet {
 				prevVC = -1
 			} else {
-				prevVC = vc
+				prevVC = e.vc
 			}
-			cur := Channel{v, next, vc}
-			if havePrev {
-				a.addDep(prev, cur, dst, tag)
+			if prev >= 0 {
+				a.addDep(prev, e.ch, dst, tag)
 			}
-			prev, havePrev = cur, true
-			v = next
+			prev = e.ch
+			v = e.next
 			steps++
 		}
 		if v == dst && steps > a.rep.EscapeHopBound {
@@ -527,17 +697,24 @@ func (a *analyzer) emitWalkDeps(dst, tag int) {
 	}
 }
 
-func (a *analyzer) addDep(from, to Channel, dst, tag int) {
-	e := [2]Channel{from, to}
-	if a.seen[e] {
-		return
+// addDep records the CDG edge from -> to unless present, keeping its first
+// inducing (dst, tag). Channel out-degrees are small (the escape channels
+// of one far node), so the duplicate check is a linear scan.
+func (a *analyzer) addDep(from, to int32, dst, tag int) {
+	for e := a.first[from]; e >= 0; e = a.deps[e].next {
+		if a.deps[e].to == to {
+			return
+		}
 	}
-	a.seen[e] = true
-	a.info[e] = [2]int{dst, tag}
-	if _, ok := a.adj[from]; !ok {
+	id := int32(len(a.deps))
+	a.deps = append(a.deps, dep{to: to, dst: int32(dst), tag: int32(tag), next: -1})
+	if a.last[from] < 0 {
+		a.first[from] = id
 		a.order = append(a.order, from)
+	} else {
+		a.deps[a.last[from]].next = id
 	}
-	a.adj[from] = append(a.adj[from], to)
+	a.last[from] = id
 }
 
 // findCycle runs a deterministic DFS (roots in first-insertion order) over
@@ -548,14 +725,15 @@ func (a *analyzer) findCycle() {
 		gray  = 1
 		black = 2
 	)
-	color := make(map[Channel]int, len(a.adj))
-	var stack []Channel
-	var cycle []Channel
-	var dfs func(c Channel) bool
-	dfs = func(c Channel) bool {
+	color := make([]uint8, len(a.first))
+	var stack []int32
+	var cycle []int32
+	var dfs func(c int32) bool
+	dfs = func(c int32) bool {
 		color[c] = gray
 		stack = append(stack, c)
-		for _, nx := range a.adj[c] {
+		for e := a.first[c]; e >= 0; e = a.deps[e].next {
+			nx := a.deps[e].to
 			switch color[nx] {
 			case gray:
 				i := len(stack) - 1
@@ -581,8 +759,13 @@ func (a *analyzer) findCycle() {
 	}
 	for i := range cycle {
 		from, to := cycle[i], cycle[(i+1)%len(cycle)]
-		meta := a.info[[2]Channel{from, to}]
-		a.rep.Cycle = append(a.rep.Cycle, DepEdge{From: from, To: to, Dst: meta[0], Tag: meta[1]})
+		for e := a.first[from]; e >= 0; e = a.deps[e].next {
+			if d := a.deps[e]; d.to == to {
+				a.rep.Cycle = append(a.rep.Cycle, DepEdge{From: a.channel(from), To: a.channel(to),
+					Dst: int(d.dst), Tag: int(d.tag)})
+				break
+			}
+		}
 	}
 }
 

@@ -44,6 +44,8 @@ func build(t *testing.T, name string) *topology.System {
 		sys, err = topology.BuildNDMesh(geo(t, 4, 4), []int{3, 2, 2}, testLP())
 	case "ndtorus-4x3":
 		sys, err = topology.BuildNDTorus(geo(t, 4, 4), []int{4, 3}, testLP())
+	case "ndtorus-8x2":
+		sys, err = topology.BuildNDTorus(geo(t, 4, 4), []int{8, 2}, testLP())
 	case "dragonfly-6":
 		sys, err = topology.BuildDragonfly(geo(t, 4, 4), 6, testLP())
 	case "tree-7":

@@ -307,18 +307,38 @@ func canceled(ctx context.Context) error {
 // cmd/chipletlint), so they hand their job lists here.
 func RunBatch(ctx context.Context, cfgs []Config) ([]Result, []error) {
 	results := make([]Result, len(cfgs))
-	errs := make([]error, len(cfgs))
 	workers := runtime.GOMAXPROCS(0)
 	if useEngine == EngineIslands {
 		if workers /= effectiveIslands(); workers < 1 {
 			workers = 1
 		}
 	}
+	errs := forEach(ctx, len(cfgs), workers, func(i int) error {
+		var err error
+		results[i], err = Run(ctx, cfgs[i], RunControl{})
+		return err
+	})
+	return results, errs
+}
+
+// forEach is the module root's worker pool, shared by RunBatch and
+// VerifyBatch: it calls fn(i) for every i in [0, n), at most workers at a
+// time, and returns once all calls have, with errs[i] fn(i)'s error in
+// input order. An index not started before ctx is done is skipped with an
+// error wrapping ErrCanceled, and a panic in fn(i) is recovered into
+// errs[i].
+//
+// Every index gets its own goroutine gated by a semaphore rather than a
+// fixed set of workers taking indices in order: the latter starts a rate
+// ladder's slowest (highest-rate) run last and measured ~9% slower cold
+// DSE explorations on 2 CPUs.
+func forEach(ctx context.Context, n, workers int, fn func(i int) error) []error {
+	errs := make([]error, n)
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
-	for i := range cfgs {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
@@ -331,11 +351,11 @@ func RunBatch(ctx context.Context, cfgs []Config) ([]Result, []error) {
 				errs[i] = canceled(ctx)
 				return
 			}
-			results[i], errs[i] = Run(ctx, cfgs[i], RunControl{})
-		}(i)
+			errs[i] = fn(i)
+		}()
 	}
 	wg.Wait()
-	return results, errs
+	return errs
 }
 
 // SaturationRate binary-searches the maximum injection rate (flits/node/

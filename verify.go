@@ -1,6 +1,10 @@
 package chipletnet
 
 import (
+	"context"
+	"errors"
+	"runtime"
+
 	"chipletnet/internal/verify"
 )
 
@@ -34,4 +38,25 @@ func VerifyConfig(cfg Config, opt verify.Options) (*verify.Report, error) {
 		return nil, err
 	}
 	return sys.VerifyRouting(opt), nil
+}
+
+// VerifyBatch runs VerifyConfig(cfgs[i], opt) for every configuration on
+// the module root's GOMAXPROCS-bounded worker pool (the one RunBatch
+// uses) and returns the reports and build errors in input order,
+// regardless of scheduling: errs[i] is nil exactly when reports[i] is
+// set. A panic is recovered into that configuration's error, and
+// configurations not started before ctx is done are skipped with an error
+// wrapping ErrCanceled; a started analysis runs to completion. opt must
+// carry no Sink, which concurrent analyses would feed interleaved.
+func VerifyBatch(ctx context.Context, cfgs []Config, opt verify.Options) ([]*verify.Report, []error) {
+	reports := make([]*verify.Report, len(cfgs))
+	errs := forEach(ctx, len(cfgs), runtime.GOMAXPROCS(0), func(i int) error {
+		if opt.Sink != nil {
+			return errors.New("chipletnet: VerifyBatch takes no state sink")
+		}
+		var err error
+		reports[i], err = VerifyConfig(cfgs[i], opt)
+		return err
+	})
+	return reports, errs
 }
